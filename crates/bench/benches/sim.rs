@@ -1,5 +1,5 @@
 //! Simulator hot-path benches: DC/AC solves on sparse vs dense backends
-//! and scalar vs batched MOSFET evaluation.
+//! and MOSFET model evaluation.
 //!
 //! These feed `results/BENCH_sim_baseline.json`; the CI perf-smoke job
 //! diffs a fresh run against that baseline with `maopt-report bench-diff`
@@ -11,9 +11,7 @@ use std::hint::black_box;
 
 use maopt_sim::analysis::ac::AcAnalysis;
 use maopt_sim::analysis::dc::DcAnalysis;
-use maopt_sim::{
-    nmos_180nm, pmos_180nm, Circuit, DesignPoint, MosBatch, MosInstance, MosModel, SolverKind,
-};
+use maopt_sim::{nmos_180nm, pmos_180nm, Circuit, MosInstance, MosModel, SolverKind};
 
 fn sample_size() -> usize {
     if std::env::var_os("MAOPT_BENCH_QUICK").is_some() {
@@ -144,24 +142,26 @@ fn bench_ac(c: &mut Criterion) {
     group.finish();
 }
 
-/// Scalar vs SoA-batched MOSFET evaluation over a sizing batch.
+/// MOSFET evaluation over 256 design points spanning the bias and sizing
+/// range: the device kernel every Newton iteration runs per transistor.
 fn bench_mosfet_eval(c: &mut Criterion) {
     let mut group = c.benchmark_group("sim");
     group.sample_size(sample_size());
 
     let model = nmos_180nm();
-    let points: Vec<DesignPoint> = (0..256)
+    // (vd, vg, vs, vb, w, l, m) per point.
+    let points: Vec<[f64; 7]> = (0..256)
         .map(|i| {
             let t = i as f64 / 256.0;
-            DesignPoint {
-                vd: 0.2 + 1.4 * t,
-                vg: 0.4 + 1.2 * (1.0 - t),
-                vs: 0.05 * t,
-                vb: 0.0,
-                w: (5.0 + 95.0 * t) * 1e-6,
-                l: (0.18 + 1.0 * t) * 1e-6,
-                m: 1.0 + (i % 4) as f64,
-            }
+            [
+                0.2 + 1.4 * t,
+                0.4 + 1.2 * (1.0 - t),
+                0.05 * t,
+                0.0,
+                (5.0 + 95.0 * t) * 1e-6,
+                (0.18 + 1.0 * t) * 1e-6,
+                1.0 + (i % 4) as f64,
+            ]
         })
         .collect();
 
@@ -169,18 +169,9 @@ fn bench_mosfet_eval(c: &mut Criterion) {
     group.bench_function("mosfet_eval256/scalar", |b| {
         b.iter(|| {
             out.clear();
-            for p in black_box(&points) {
-                out.push(model.eval(p.vd, p.vg, p.vs, p.vb, p.w, p.l, p.m));
+            for &[vd, vg, vs, vb, w, l, m] in black_box(&points) {
+                out.push(model.eval(vd, vg, vs, vb, w, l, m));
             }
-            black_box(out.len())
-        })
-    });
-
-    let mut ws = MosBatch::new();
-    group.bench_function("mosfet_eval256/batch", |b| {
-        b.iter(|| {
-            out.clear();
-            model.eval_batch_into(black_box(&points), &mut ws, &mut out);
             black_box(out.len())
         })
     });

@@ -13,7 +13,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 use maopt_sim::analysis::dc::DcAnalysis;
-use maopt_sim::{nmos_180nm, pmos_180nm, Circuit, MosInstance, MosModel, WarmstartKind};
+use maopt_sim::{nmos_180nm, pmos_180nm, Circuit, MosInstance, MosModel};
 
 fn sample_size() -> usize {
     if std::env::var_os("MAOPT_BENCH_QUICK").is_some() {
@@ -83,7 +83,7 @@ fn ota_like(scale: f64) -> Circuit {
 }
 
 /// DC operating-point throughput, warm vs cold. `cold` is the full
-/// continuation ladder (warm-starting off), `warm` seeds Newton with a
+/// continuation ladder (no seed), `warm` seeds Newton with a
 /// 10%-perturbed reference design's converged OP, and `fallback` feeds a
 /// hostile seed so the rescue path's full cost (wasted warm attempt plus
 /// the ladder) stays on the books.
@@ -95,25 +95,17 @@ fn bench_warmstart(c: &mut Criterion) {
     let reference = ota_like(1.1);
     // Warm the per-topology symbolic cache outside the timing loops and
     // capture the reference design's converged operating point.
-    let cold_an = DcAnalysis {
-        warmstart: WarmstartKind::Off,
-        ..DcAnalysis::new()
-    };
-    let warm_an = DcAnalysis {
-        warmstart: WarmstartKind::On,
-        ..DcAnalysis::new()
-    };
-    let seed = cold_an.run(&reference).unwrap().unknowns().to_vec();
+    let dc = DcAnalysis::new();
+    let seed = dc.run(&reference).unwrap().unknowns().to_vec();
     let hostile: Vec<f64> = seed.iter().map(|_| 40.0).collect();
 
     group.bench_function("dc_ota/cold", |b| {
-        b.iter(|| black_box(cold_an.run(black_box(&ota)).unwrap()))
+        b.iter(|| black_box(dc.run(black_box(&ota)).unwrap()))
     });
     group.bench_function("dc_ota/warm", |b| {
         b.iter(|| {
             black_box(
-                warm_an
-                    .run_seeded(black_box(&ota), None, Some(black_box(&seed)))
+                dc.run_seeded(black_box(&ota), None, Some(black_box(&seed)))
                     .unwrap(),
             )
         })
@@ -121,8 +113,7 @@ fn bench_warmstart(c: &mut Criterion) {
     group.bench_function("dc_ota/fallback", |b| {
         b.iter(|| {
             black_box(
-                warm_an
-                    .run_seeded(black_box(&ota), None, Some(black_box(&hostile)))
+                dc.run_seeded(black_box(&ota), None, Some(black_box(&hostile)))
                     .unwrap(),
             )
         })

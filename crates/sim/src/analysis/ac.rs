@@ -275,7 +275,7 @@ impl AcAnalysis {
         );
         AcAnalysis {
             freqs,
-            solver: SolverKind::Auto,
+            solver: SolverKind::Sparse,
         }
     }
 

@@ -2,12 +2,10 @@
 //! gmin stepping and source stepping as convergence aids.
 
 use crate::circuit::{Circuit, Element, ElementId, Node};
-use crate::mna::{
-    assemble_resistive, eval_mosfets_batched, Layout, MosEvalScratch, MosOpsMode, SlotStamp,
-};
+use crate::mna::{assemble_resistive, mos_op_at, Layout, Stamp};
 use crate::mosfet::MosOp;
 use crate::probe::Probe;
-use crate::solver::{solve_newton_system, JacView, SolverKind, SolverWs, WarmstartKind};
+use crate::solver::{solve_newton_system, SolverKind, SolverWs, StampSeq};
 use crate::SimError;
 
 /// Histogram of total Newton iterations per DC solve.
@@ -16,7 +14,7 @@ pub(crate) const METRIC_NEWTON_ITERS: &str = "sim.newton_iters";
 const METRIC_WARM_HIT: &str = "sim.warmstart.hit";
 /// Counter: seeded solves rescued by the cold continuation ladder.
 const METRIC_WARM_FALLBACK: &str = "sim.warmstart.fallback";
-/// Counter: solves that ran the cold path (no usable seed or disabled).
+/// Counter: solves that ran the cold path (no usable seed).
 const METRIC_WARM_COLD: &str = "sim.warmstart.cold";
 /// Whole-solve trace span names, one per warm-start outcome.
 const SPAN_DC_WARM: &str = "sim.dc.warm";
@@ -39,9 +37,6 @@ pub struct DcAnalysis {
     pub final_gmin: f64,
     /// Linear-solver backend for the Newton systems.
     pub solver: SolverKind,
-    /// Whether [`DcAnalysis::run_seeded`] may start Newton from a
-    /// reference design's operating point.
-    pub warmstart: WarmstartKind,
     /// Newton iteration budget of the warm attempt before the cold
     /// continuation ladder takes over. Deliberately much smaller than
     /// `max_iter`: a warm start either converges in a handful of
@@ -56,23 +51,19 @@ impl Default for DcAnalysis {
             vtol: 1e-9,
             step_limit: 0.6,
             final_gmin: 1e-12,
-            solver: SolverKind::Auto,
-            warmstart: WarmstartKind::Auto,
+            solver: SolverKind::Sparse,
             warm_budget: 40,
         }
     }
 }
 
-/// Reusable per-solve buffers: residual, RHS, Newton step, batched
-/// MOSFET staging, and the factor workspace. Allocated once per
-/// [`DcAnalysis::run_at_time`] call and reused across every Newton
-/// iteration of every continuation stage.
+/// Reusable per-solve buffers: residual, RHS, Newton step and the factor
+/// workspace. Allocated once per [`DcAnalysis::run_at_time`] call and
+/// reused across every Newton iteration of every continuation stage.
 struct DcScratch {
     f: Vec<f64>,
     neg_f: Vec<f64>,
     delta: Vec<f64>,
-    mos: MosEvalScratch,
-    mos_ops: Vec<MosOp>,
     solver: SolverWs,
 }
 
@@ -185,12 +176,12 @@ impl DcAnalysis {
         let mut iters = 0usize;
         let x = self.solve_staged(ckt, &layout, &mut ws, &probe, x0, time, &mut iters)?;
         probe.observe(METRIC_NEWTON_ITERS, iters as f64);
-        Ok(self.finish(ckt, &layout, &mut ws, x, iters))
+        Ok(finish(ckt, &layout, x, iters))
     }
 
     /// Solves the operating point, warm-starting Newton from a *reference
-    /// design's* converged solution vector when one is provided and
-    /// warm-starting is enabled (see [`WarmstartKind`]).
+    /// design's* converged solution vector when one is provided (`None`
+    /// runs the cold path, exactly as [`DcAnalysis::run_at_time`]).
     ///
     /// The seed is advisory: when the warm attempt diverges, exceeds the
     /// `warm_budget`, or the seed has the wrong length for this circuit,
@@ -215,7 +206,7 @@ impl DcAnalysis {
         let layout = Layout::new(ckt);
         let n = layout.n_unknowns;
         let warm_seed = match seed {
-            Some(s) if self.warmstart.enabled() && s.len() == n => Some(s),
+            Some(s) if s.len() == n => Some(s),
             _ => None,
         };
 
@@ -242,7 +233,7 @@ impl DcAnalysis {
                 probe.inc(METRIC_WARM_HIT);
                 probe.observe(METRIC_NEWTON_ITERS, iters as f64);
                 probe.span(SPAN_DC_WARM, t0);
-                return Ok(self.finish(ckt, &layout, &mut ws, x, iters));
+                return Ok(finish(ckt, &layout, x, iters));
             }
             warm_failed = true;
         }
@@ -264,7 +255,7 @@ impl DcAnalysis {
             probe.span(SPAN_DC_COLD, t0);
         }
         probe.observe(METRIC_NEWTON_ITERS, iters as f64);
-        Ok(self.finish(ckt, &layout, &mut ws, x, iters))
+        Ok(finish(ckt, &layout, x, iters))
     }
 
     /// Fresh per-solve buffers for one run.
@@ -274,9 +265,7 @@ impl DcAnalysis {
             f: vec![0.0; n],
             neg_f: Vec::with_capacity(n),
             delta: Vec::with_capacity(n),
-            mos: MosEvalScratch::default(),
-            mos_ops: Vec::with_capacity(layout.mos_elems.len()),
-            solver: SolverWs::new(self.solver, ckt, layout),
+            solver: SolverWs::new(self.solver, StampSeq::Resistive, ckt, layout),
         }
     }
 
@@ -400,41 +389,10 @@ impl DcAnalysis {
                 f,
                 neg_f,
                 delta,
-                mos,
-                mos_ops,
                 solver,
             } = ws;
-            let mut assemble = |f: &mut [f64], jac: JacView<'_>| {
-                f.fill(0.0);
-                eval_mosfets_batched(ckt, layout, &x, mos, mos_ops);
-                match jac {
-                    JacView::Dense(m) => assemble_resistive(
-                        ckt,
-                        layout,
-                        &x,
-                        gmin,
-                        source_scale,
-                        time,
-                        f,
-                        m,
-                        MosOpsMode::Precomputed(mos_ops.as_slice()),
-                    ),
-                    JacView::Sparse { vals, topo } => {
-                        let mut st = SlotStamp::new(vals, &topo.resistive_slots);
-                        assemble_resistive(
-                            ckt,
-                            layout,
-                            &x,
-                            gmin,
-                            source_scale,
-                            time,
-                            f,
-                            &mut st,
-                            MosOpsMode::Precomputed(mos_ops.as_slice()),
-                        );
-                        st.finish();
-                    }
-                }
+            let mut assemble = |f: &mut [f64], jac: &mut dyn Stamp| {
+                assemble_resistive(ckt, layout, &x, gmin, source_scale, time, f, jac)
             };
             solve_newton_system(solver, "dc", probe, f, neg_f, delta, &mut assemble)?;
             let max_step = delta.iter().fold(0.0_f64, |m, d| m.max(d.abs()));
@@ -461,26 +419,27 @@ impl DcAnalysis {
             iterations: budget,
         })
     }
+}
 
-    /// Harvests the MOSFET operating points at the solution (a pure
-    /// function of `x` — bitwise-identical to what an assembly at the
-    /// solution would have produced).
-    fn finish(
-        &self,
-        ckt: &Circuit,
-        layout: &Layout,
-        ws: &mut DcScratch,
-        x: Vec<f64>,
-        iters: usize,
-    ) -> DcOp {
-        let mut mos_ops = Vec::with_capacity(layout.mos_elems.len());
-        eval_mosfets_batched(ckt, layout, &x, &mut ws.mos, &mut mos_ops);
-        DcOp {
-            x,
-            layout: layout.clone(),
-            mos_ops,
-            newton_iters: iters,
-        }
+/// Harvests the MOSFET operating points at the solution (a pure function
+/// of `x` — bitwise-identical to what an assembly at the solution would
+/// have produced).
+fn finish(ckt: &Circuit, layout: &Layout, x: Vec<f64>, iters: usize) -> DcOp {
+    let mos_ops = layout
+        .mos_elems
+        .iter()
+        .map(|&ei| match &ckt.elements()[ei] {
+            Element::Mosfet {
+                d, g, s, b, inst, ..
+            } => mos_op_at(&x, [*d, *g, *s, *b], inst),
+            _ => unreachable!("mos_elems indexes MOSFETs"),
+        })
+        .collect();
+    DcOp {
+        x,
+        layout: layout.clone(),
+        mos_ops,
+        newton_iters: iters,
     }
 }
 

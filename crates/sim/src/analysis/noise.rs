@@ -95,7 +95,7 @@ impl NoiseAnalysis {
         );
         NoiseAnalysis {
             freqs,
-            solver: SolverKind::Auto,
+            solver: SolverKind::Sparse,
         }
     }
 

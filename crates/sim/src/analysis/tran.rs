@@ -5,12 +5,10 @@
 use crate::analysis::dc::{DcAnalysis, DcOp};
 use crate::circuit::{Circuit, Node};
 use crate::mna::{
-    assemble_resistive, cap_list, eval_mosfets_batched, ind_list, stamp_reactive, CapSpec, IndSpec,
-    Layout, MosEvalScratch, MosOpsMode, SlotStamp,
+    assemble_resistive, cap_list, ind_list, stamp_reactive, CapSpec, IndSpec, Layout, Stamp,
 };
-use crate::mosfet::MosOp;
 use crate::probe::Probe;
-use crate::solver::{solve_newton_system, JacView, SolverKind, SolverWs, WarmstartKind};
+use crate::solver::{solve_newton_system, SolverKind, SolverWs, StampSeq};
 use crate::SimError;
 
 /// Integration method for the capacitor companion models.
@@ -39,11 +37,6 @@ pub struct TranAnalysis {
     pub max_halvings: usize,
     /// Linear-solver backend for the per-timestep Newton systems.
     pub solver: SolverKind,
-    /// Whether each timestep's Newton start is linearly extrapolated from
-    /// the previous two accepted solutions instead of copied from the
-    /// last one. Converged solutions still satisfy the same tolerance;
-    /// `Off` restores the historical start exactly.
-    pub warmstart: WarmstartKind,
 }
 
 /// Reusable per-run buffers shared by every Newton iteration of every
@@ -52,8 +45,6 @@ struct TranScratch {
     f: Vec<f64>,
     neg_f: Vec<f64>,
     delta: Vec<f64>,
-    mos: MosEvalScratch,
-    mos_ops: Vec<MosOp>,
     solver: SolverWs,
 }
 
@@ -71,8 +62,7 @@ impl TranAnalysis {
             method: Integrator::Trapezoidal,
             max_newton: 60,
             max_halvings: 14,
-            solver: SolverKind::Auto,
-            warmstart: WarmstartKind::Auto,
+            solver: SolverKind::Sparse,
         }
     }
 
@@ -144,12 +134,9 @@ impl TranAnalysis {
             f: vec![0.0; n],
             neg_f: Vec::with_capacity(n),
             delta: Vec::with_capacity(n),
-            mos: MosEvalScratch::default(),
-            mos_ops: Vec::with_capacity(layout.mos_elems.len()),
-            solver: SolverWs::new(self.solver, ckt, &layout),
+            solver: SolverWs::new(self.solver, StampSeq::Transient, ckt, &layout),
         };
 
-        let predict = self.warmstart.enabled();
         while t < self.t_stop - 1e-18 {
             let h_eff = h.min(self.t_stop - t);
             let t_next = t + h_eff;
@@ -159,10 +146,9 @@ impl TranAnalysis {
             // attempt because `h_eff` changes when a step is halved. The
             // corrector (the Newton solve below) still converges to the
             // same tolerance, so this only trades iterations, never
-            // accuracy; with warm-starting off the start is the previous
-            // solution, exactly as before.
+            // accuracy. The first step starts from the previous solution.
             let k = sols.len();
-            let x_start: Vec<f64> = if predict && k >= 2 && times[k - 1] > times[k - 2] {
+            let x_start: Vec<f64> = if k >= 2 && times[k - 1] > times[k - 2] {
                 let r = h_eff / (times[k - 1] - times[k - 2]);
                 sols[k - 1]
                     .iter()
@@ -251,71 +237,23 @@ impl TranAnalysis {
                 f,
                 neg_f,
                 delta,
-                mos,
-                mos_ops,
                 solver,
             } = ws;
-            let mut assemble = |f: &mut [f64], jac: JacView<'_>| {
-                f.fill(0.0);
-                eval_mosfets_batched(ckt, layout, &x, mos, mos_ops);
-                match jac {
-                    JacView::Dense(m) => {
-                        assemble_resistive(
-                            ckt,
-                            layout,
-                            &x,
-                            1e-12,
-                            1.0,
-                            Some(t_next),
-                            f,
-                            m,
-                            MosOpsMode::Precomputed(mos_ops.as_slice()),
-                        );
-                        stamp_reactive(
-                            caps,
-                            inds,
-                            self.method,
-                            h,
-                            &x,
-                            cap_v,
-                            cap_i,
-                            ind_i,
-                            ind_v,
-                            f,
-                            m,
-                        );
-                    }
-                    JacView::Sparse { vals, topo } => {
-                        let mut st = SlotStamp::new(&mut *vals, &topo.resistive_slots);
-                        assemble_resistive(
-                            ckt,
-                            layout,
-                            &x,
-                            1e-12,
-                            1.0,
-                            Some(t_next),
-                            f,
-                            &mut st,
-                            MosOpsMode::Precomputed(mos_ops.as_slice()),
-                        );
-                        st.finish();
-                        let mut st = SlotStamp::new(vals, &topo.reactive_slots);
-                        stamp_reactive(
-                            caps,
-                            inds,
-                            self.method,
-                            h,
-                            &x,
-                            cap_v,
-                            cap_i,
-                            ind_i,
-                            ind_v,
-                            f,
-                            &mut st,
-                        );
-                        st.finish();
-                    }
-                }
+            let mut assemble = |f: &mut [f64], jac: &mut dyn Stamp| {
+                assemble_resistive(ckt, layout, &x, 1e-12, 1.0, Some(t_next), f, jac);
+                stamp_reactive(
+                    caps,
+                    inds,
+                    self.method,
+                    h,
+                    &x,
+                    cap_v,
+                    cap_i,
+                    ind_i,
+                    ind_v,
+                    f,
+                    jac,
+                );
             };
             solve_newton_system(solver, "tran", probe, f, neg_f, delta, &mut assemble)?;
             let max_step = delta.iter().fold(0.0_f64, |m, d| m.max(d.abs()));

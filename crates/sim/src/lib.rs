@@ -47,7 +47,6 @@ mod circuit;
 mod error;
 mod mna;
 mod mosfet;
-mod mosfet_batch;
 mod netlist;
 mod probe;
 mod solver;
@@ -57,9 +56,8 @@ mod waveform;
 pub use circuit::{Circuit, Element, ElementId, MosInstance, Node};
 pub use error::SimError;
 pub use mosfet::{nmos_180nm, pmos_180nm, MosModel, MosOp, MosPolarity, MosRegion};
-pub use mosfet_batch::{DesignPoint, MosBatch};
 pub use netlist::{parse_netlist, parse_value};
-pub use solver::{SolverKind, WarmstartKind};
+pub use solver::SolverKind;
 pub use waveform::Waveform;
 
 /// Boltzmann constant × 300 K, in joules (used by noise analysis).

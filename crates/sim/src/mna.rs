@@ -11,9 +11,8 @@
 use maopt_linalg::{CMat, Complex, Mat};
 
 use crate::analysis::tran::Integrator;
-use crate::circuit::{Circuit, Element, Node};
+use crate::circuit::{Circuit, Element, MosInstance, Node};
 use crate::mosfet::MosOp;
-use crate::mosfet_batch::{DesignPoint, MosBatch};
 
 /// Index map of the MNA unknown vector.
 #[derive(Debug, Clone)]
@@ -69,7 +68,8 @@ pub(crate) fn volt(x: &[f64], n: Node) -> f64 {
 // (`CStamp` for the complex AC system) instead of a concrete matrix. Three
 // backends exist:
 //
-// * `Mat` / `CMat` — the dense debug path, exactly the old behavior;
+// * `Mat` / `CMat` — the dense path (`SolverKind::Dense` and the sparse
+//   path's tiny-pivot fallback);
 // * `StampCollector` / `CStampCollector` — record the `(row, col)` call
 //   sequence once per topology (values discarded) to build the cached
 //   `SparsityPattern` and stamp-slot maps in `crate::topology`;
@@ -192,17 +192,6 @@ impl CStamp for CSlotStamp<'_> {
     }
 }
 
-/// How the resistive assembly obtains MOSFET operating points.
-#[derive(Debug)]
-pub(crate) enum MosOpsMode<'a> {
-    /// Evaluate each device inline while assembling (used by the topology
-    /// collection pass and the standalone assembly tests).
-    Inline,
-    /// Use precomputed operating points, in `layout.mos_elems` order — the
-    /// batched hot path (see [`eval_mosfets_batched`]).
-    Precomputed(&'a [MosOp]),
-}
-
 /// A capacitance extracted from the netlist (explicit capacitors plus the
 /// four intrinsic MOSFET capacitances), used by AC and transient analyses.
 #[derive(Debug, Clone, Copy)]
@@ -307,7 +296,6 @@ pub(crate) fn assemble_resistive(
     time: Option<f64>,
     f: &mut [f64],
     jac: &mut dyn Stamp,
-    mos_ops: MosOpsMode<'_>,
 ) {
     // Convenience closures over the optional ground row/col.
     let add_f = |f: &mut [f64], n: Node, v: f64| {
@@ -321,7 +309,6 @@ pub(crate) fn assemble_resistive(
         }
     };
 
-    let mut mos_ord = 0usize;
     for (ei, e) in ckt.elements().iter().enumerate() {
         match e {
             Element::Resistor { a, b, ohms, .. } => {
@@ -414,19 +401,7 @@ pub(crate) fn assemble_resistive(
             Element::Mosfet {
                 d, g, s, b, inst, ..
             } => {
-                let op = match &mos_ops {
-                    MosOpsMode::Precomputed(ops) => ops[mos_ord],
-                    MosOpsMode::Inline => inst.model.eval(
-                        volt(x, *d),
-                        volt(x, *g),
-                        volt(x, *s),
-                        volt(x, *b),
-                        inst.w,
-                        inst.l,
-                        inst.m,
-                    ),
-                };
-                mos_ord += 1;
+                let op = mos_op_at(x, [*d, *g, *s, *b], inst);
                 add_f(f, *d, op.id);
                 add_f(f, *s, -op.id);
                 let dvs = -(op.gm + op.gds + op.gmbs);
@@ -449,63 +424,18 @@ pub(crate) fn assemble_resistive(
     }
 }
 
-/// Evaluates every MOSFET of the circuit at `x` via the batched SoA
-/// evaluator, filling `out` in `layout.mos_elems` order (the order
-/// [`MosOpsMode::Precomputed`] expects).
-///
-/// Consecutive devices sharing one model card are evaluated as one batch,
-/// amortizing the per-card precompute; results are bitwise-identical to
-/// inline evaluation.
-pub(crate) fn eval_mosfets_batched(
-    ckt: &Circuit,
-    layout: &Layout,
-    x: &[f64],
-    scratch: &mut MosEvalScratch,
-    out: &mut Vec<MosOp>,
-) {
-    out.clear();
-    let elems = ckt.elements();
-    let mos = &layout.mos_elems;
-    let inst_of = |ei: usize| match &elems[ei] {
-        Element::Mosfet { inst, .. } => inst,
-        _ => unreachable!("mos_elems indexes MOSFETs"),
-    };
-    let mut i = 0;
-    while i < mos.len() {
-        let first = inst_of(mos[i]);
-        let mut j = i + 1;
-        while j < mos.len() && inst_of(mos[j]).model == first.model {
-            j += 1;
-        }
-        scratch.pts.clear();
-        for &ei in &mos[i..j] {
-            if let Element::Mosfet {
-                d, g, s, b, inst, ..
-            } = &elems[ei]
-            {
-                scratch.pts.push(DesignPoint {
-                    vd: volt(x, *d),
-                    vg: volt(x, *g),
-                    vs: volt(x, *s),
-                    vb: volt(x, *b),
-                    w: inst.w,
-                    l: inst.l,
-                    m: inst.m,
-                });
-            }
-        }
-        first
-            .model
-            .eval_batch_into(&scratch.pts, &mut scratch.soa, out);
-        i = j;
-    }
-}
-
-/// Reusable buffers for [`eval_mosfets_batched`].
-#[derive(Debug, Default)]
-pub(crate) struct MosEvalScratch {
-    pts: Vec<DesignPoint>,
-    soa: MosBatch,
+/// Operating point of a MOSFET with terminals `[d, g, s, b]` at the
+/// unknown vector `x`.
+pub(crate) fn mos_op_at(x: &[f64], [d, g, s, b]: [Node; 4], inst: &MosInstance) -> MosOp {
+    inst.model.eval(
+        volt(x, d),
+        volt(x, g),
+        volt(x, s),
+        volt(x, b),
+        inst.w,
+        inst.l,
+        inst.m,
+    )
 }
 
 /// Stamps the transient companion models (capacitors and inductors) on top
@@ -632,17 +562,7 @@ mod tests {
         let x = [2.0, -2e-3];
         let mut f = vec![0.0; 2];
         let mut jac = Mat::zeros(2, 2);
-        assemble_resistive(
-            &ckt,
-            &layout,
-            &x,
-            0.0,
-            1.0,
-            None,
-            &mut f,
-            &mut jac,
-            MosOpsMode::Inline,
-        );
+        assemble_resistive(&ckt, &layout, &x, 0.0, 1.0, None, &mut f, &mut jac);
         assert!(f.iter().all(|r| r.abs() < 1e-15), "residual {f:?}");
     }
 
@@ -656,17 +576,7 @@ mod tests {
         let x = [0.0];
         let mut f = vec![0.0; 1];
         let mut jac = Mat::zeros(1, 1);
-        assemble_resistive(
-            &ckt,
-            &layout,
-            &x,
-            0.0,
-            0.5,
-            None,
-            &mut f,
-            &mut jac,
-            MosOpsMode::Inline,
-        );
+        assemble_resistive(&ckt, &layout, &x, 0.0, 0.5, None, &mut f, &mut jac);
         // Half the current is injected into node a.
         assert!((f[0] + 0.5e-3).abs() < 1e-18);
     }
@@ -682,17 +592,7 @@ mod tests {
         let x = [0.0, 0.0];
         let mut f = vec![0.0; 2];
         let mut jac = Mat::zeros(2, 2);
-        assemble_resistive(
-            &ckt,
-            &layout,
-            &x,
-            0.0,
-            1.0,
-            Some(0.0),
-            &mut f,
-            &mut jac,
-            MosOpsMode::Inline,
-        );
+        assemble_resistive(&ckt, &layout, &x, 0.0, 1.0, Some(0.0), &mut f, &mut jac);
         // Branch equation: (0 − 0) − 5 = −5
         assert!((f[1] + 5.0).abs() < 1e-15);
     }

@@ -138,21 +138,6 @@ impl MosModel {
         self.lambda_l / l
     }
 
-    /// Precomputed per-model-card constants shared by every lane of a
-    /// batched evaluation (see `mosfet_batch`). Hoisting these out of the
-    /// per-device loop removes a `sqrt` and several multiplies per lane
-    /// without changing a single FP operation in the lane itself.
-    pub(crate) fn pre(&self) -> MosPre {
-        MosPre {
-            pmos: self.polarity == MosPolarity::Pmos,
-            vt0: self.vt0,
-            gamma: self.gamma,
-            phi: self.phi,
-            sqrt_phi: self.phi.sqrt(),
-            nvt: self.n_sub * VT_THERMAL,
-        }
-    }
-
     /// Evaluates the device at circuit-frame terminal voltages.
     ///
     /// `vd, vg, vs, vb` are node voltages; geometry is width `w`, length
@@ -160,15 +145,17 @@ impl MosModel {
     // Four terminals + three geometry values is the device's natural arity.
     #[allow(clippy::too_many_arguments)]
     pub fn eval(&self, vd: f64, vg: f64, vs: f64, vb: f64, w: f64, l: f64, m: f64) -> MosOp {
-        eval_lane(
-            &self.pre(),
-            self.kp * (w / l) * m,
-            self.lambda(l),
-            vd,
-            vg,
-            vs,
-            vb,
-        )
+        let beta = self.kp * (w / l) * m;
+        let lambda = self.lambda(l);
+        let (vgs, vds, vbs) = (vg - vs, vd - vs, vb - vs);
+        if self.polarity == MosPolarity::Pmos {
+            // Evaluate the mirrored device and flip the current sign;
+            // conductances are even under the mirror.
+            let op = self.eval_nmos_frame(beta, lambda, -vgs, -vds, -vbs);
+            MosOp { id: -op.id, ..op }
+        } else {
+            self.eval_nmos_frame(beta, lambda, vgs, vds, vbs)
+        }
     }
 
     /// Gate–source capacitance (2/3 C_ox + overlap), farads.
@@ -202,120 +189,85 @@ impl MosModel {
     }
 }
 
-/// Per-model-card constants precomputed by [`MosModel::pre`].
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct MosPre {
-    pmos: bool,
-    vt0: f64,
-    gamma: f64,
-    phi: f64,
-    sqrt_phi: f64,
-    /// `n_sub · VT_THERMAL`.
-    nvt: f64,
-}
-
-/// Evaluates one device lane from precomputed model constants and the
-/// per-device `beta = kp·(W/L)·m`, `lambda = lambda_l/L`.
-///
-/// This is THE model evaluation: the scalar [`MosModel::eval`] and the
-/// batched `MosModel::eval_batch_into` both route through it, so batched
-/// operating points are bitwise-identical to scalar ones.
-pub(crate) fn eval_lane(
-    pre: &MosPre,
-    beta: f64,
-    lambda: f64,
-    vd: f64,
-    vg: f64,
-    vs: f64,
-    vb: f64,
-) -> MosOp {
-    let (vgs, vds, vbs) = (vg - vs, vd - vs, vb - vs);
-    if pre.pmos {
-        // Evaluate the mirrored device and flip the current sign;
-        // conductances are even under the mirror.
-        let op = eval_nmos_frame(pre, beta, lambda, -vgs, -vds, -vbs);
-        MosOp { id: -op.id, ..op }
-    } else {
-        eval_nmos_frame(pre, beta, lambda, vgs, vds, vbs)
-    }
-}
-
-/// Evaluates in the NMOS frame, handling drain–source swap for
-/// `vds < 0` so the model is symmetric.
-fn eval_nmos_frame(pre: &MosPre, beta: f64, lambda: f64, vgs: f64, vds: f64, vbs: f64) -> MosOp {
-    if vds >= 0.0 {
-        eval_forward(pre, beta, lambda, vgs, vds, vbs)
-    } else {
-        // Swap D and S: the "source" is now the original drain.
-        let op = eval_forward(pre, beta, lambda, vgs - vds, -vds, vbs - vds);
-        // id = −id'(vgs − vds, −vds, vbs − vds); chain rule gives:
-        MosOp {
-            id: -op.id,
-            gm: -op.gm,
-            gds: op.gm + op.gds + op.gmbs,
-            gmbs: -op.gmbs,
-            ..op
+impl MosModel {
+    /// Evaluates in the NMOS frame, handling drain–source swap for
+    /// `vds < 0` so the model is symmetric. `beta = kp·(W/L)·m` and
+    /// `lambda = lambda_l/L` are the per-device constants.
+    fn eval_nmos_frame(&self, beta: f64, lambda: f64, vgs: f64, vds: f64, vbs: f64) -> MosOp {
+        if vds >= 0.0 {
+            self.eval_forward(beta, lambda, vgs, vds, vbs)
+        } else {
+            // Swap D and S: the "source" is now the original drain.
+            let op = self.eval_forward(beta, lambda, vgs - vds, -vds, vbs - vds);
+            // id = −id'(vgs − vds, −vds, vbs − vds); chain rule gives:
+            MosOp {
+                id: -op.id,
+                gm: -op.gm,
+                gds: op.gm + op.gds + op.gmbs,
+                gmbs: -op.gmbs,
+                ..op
+            }
         }
     }
-}
 
-/// Core forward-mode evaluation (`vds ≥ 0`, NMOS frame).
-fn eval_forward(pre: &MosPre, beta: f64, lambda: f64, vgs: f64, vds: f64, vbs: f64) -> MosOp {
-    let nvt = pre.nvt;
+    /// Core forward-mode evaluation (`vds ≥ 0`, NMOS frame).
+    fn eval_forward(&self, beta: f64, lambda: f64, vgs: f64, vds: f64, vbs: f64) -> MosOp {
+        let nvt = self.n_sub * VT_THERMAL;
 
-    // Body effect, with vbs clamped below phi to keep the sqrt real.
-    let vbs_c = vbs.min(pre.phi - 1e-3);
-    let sqrt_term = (pre.phi - vbs_c).sqrt();
-    let vth = pre.vt0 + pre.gamma * (sqrt_term - pre.sqrt_phi);
-    // dvth/dvbs = −γ / (2√(φ − vbs)); zero in the clamped zone.
-    let dvth_dvbs = if vbs < pre.phi - 1e-3 {
-        -pre.gamma / (2.0 * sqrt_term)
-    } else {
-        0.0
-    };
+        // Body effect, with vbs clamped below phi to keep the sqrt real.
+        let vbs_c = vbs.min(self.phi - 1e-3);
+        let sqrt_term = (self.phi - vbs_c).sqrt();
+        let vth = self.vt0 + self.gamma * (sqrt_term - self.phi.sqrt());
+        // dvth/dvbs = −γ / (2√(φ − vbs)); zero in the clamped zone.
+        let dvth_dvbs = if vbs < self.phi - 1e-3 {
+            -self.gamma / (2.0 * sqrt_term)
+        } else {
+            0.0
+        };
 
-    // Softplus-blended overdrive.
-    let x = (vgs - vth) / nvt;
-    let (vov, sigma) = if x > 40.0 {
-        (vgs - vth, 1.0)
-    } else if x < -40.0 {
-        (nvt * x.exp(), x.exp())
-    } else {
-        (nvt * x.exp().ln_1p(), 1.0 / (1.0 + (-x).exp()))
-    };
+        // Softplus-blended overdrive.
+        let x = (vgs - vth) / nvt;
+        let (vov, sigma) = if x > 40.0 {
+            (vgs - vth, 1.0)
+        } else if x < -40.0 {
+            (nvt * x.exp(), x.exp())
+        } else {
+            (nvt * x.exp().ln_1p(), 1.0 / (1.0 + (-x).exp()))
+        };
 
-    let clm = 1.0 + lambda * vds;
-    let (ids0, d_dvds, d_dvov, region) = if vds < vov {
-        // Triode.
-        let i = beta * (vov * vds - 0.5 * vds * vds);
-        (i, beta * (vov - vds), beta * vds, MosRegion::Triode)
-    } else {
-        // Saturation.
-        let i = 0.5 * beta * vov * vov;
-        (i, 0.0, beta * vov, MosRegion::Saturation)
-    };
-    let region = if x < 0.0 {
-        MosRegion::Subthreshold
-    } else {
-        region
-    };
+        let clm = 1.0 + lambda * vds;
+        let (ids0, d_dvds, d_dvov, region) = if vds < vov {
+            // Triode.
+            let i = beta * (vov * vds - 0.5 * vds * vds);
+            (i, beta * (vov - vds), beta * vds, MosRegion::Triode)
+        } else {
+            // Saturation.
+            let i = 0.5 * beta * vov * vov;
+            (i, 0.0, beta * vov, MosRegion::Saturation)
+        };
+        let region = if x < 0.0 {
+            MosRegion::Subthreshold
+        } else {
+            region
+        };
 
-    let id = ids0 * clm;
-    let gds = d_dvds * clm + ids0 * lambda;
-    let gm_vov = d_dvov * clm;
-    let gm = gm_vov * sigma;
-    // vth falls with vbs rising → more current: gmbs = gm_vov·σ·(−dvth/dvbs)
-    let gmbs = gm_vov * sigma * (-dvth_dvbs);
+        let id = ids0 * clm;
+        let gds = d_dvds * clm + ids0 * lambda;
+        let gm_vov = d_dvov * clm;
+        let gm = gm_vov * sigma;
+        // vth falls with vbs rising → more current: gmbs = gm_vov·σ·(−dvth/dvbs)
+        let gmbs = gm_vov * sigma * (-dvth_dvbs);
 
-    MosOp {
-        id,
-        gm,
-        gds,
-        gmbs,
-        vth,
-        vov,
-        vdsat: vov,
-        region,
+        MosOp {
+            id,
+            gm,
+            gds,
+            gmbs,
+            vth,
+            vov,
+            vdsat: vov,
+            region,
+        }
     }
 }
 

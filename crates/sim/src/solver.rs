@@ -8,23 +8,23 @@
 //!   pivot-free numeric refactor per iteration. Deterministic: the FP
 //!   operation sequence is a pure function of topology, never of values
 //!   or thread count.
-//! * **Dense**: the original partial-pivoting LU, kept as a debug
-//!   cross-check (`MAOPT_SIM_SOLVER=dense`) and as the per-iteration
-//!   fallback when the pivot-free factorization hits a tiny pivot — so
-//!   genuinely singular systems surface exactly the same errors on both
-//!   backends.
+//! * **Dense**: the partial-pivoting LU, kept as the reference the
+//!   agreement tests and benches compare against, and as the
+//!   per-iteration fallback when the pivot-free factorization hits a tiny
+//!   pivot — so genuinely singular systems surface exactly the same
+//!   errors on both backends.
 //!
 //! Neither backend allocates per iteration in steady state: the dense
 //! path reuses its matrix + factor buffers ([`maopt_linalg::Lu::refactor_from`]),
 //! the sparse path reuses the CSC value array and factor workspace.
 
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use maopt_linalg::{Complex, Lu, Mat, SparseLu, SparseMat};
 
 use crate::analysis::ac::assemble_ac;
 use crate::circuit::Circuit;
-use crate::mna::{CSlotStamp, CapSpec, Layout};
+use crate::mna::{CSlotStamp, CapSpec, Layout, SlotStamp, Stamp};
 use crate::mosfet::MosOp;
 use crate::probe::{Probe, SPAN_ASSEMBLE, SPAN_FACTOR, SPAN_SOLVE};
 use crate::topology::{topology_for, Topology};
@@ -33,84 +33,22 @@ use crate::SimError;
 /// Which linear solver backs an analysis.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SolverKind {
-    /// Honor the `MAOPT_SIM_SOLVER` environment variable (`sparse` when
-    /// unset). The default.
+    /// The sparse path: per-topology symbolic factorization reuse. The
+    /// default.
     #[default]
-    Auto,
-    /// The sparse path: per-topology symbolic factorization reuse.
     Sparse,
-    /// The dense partial-pivoting path (debug cross-check).
+    /// The dense partial-pivoting path (reference for agreement tests).
     Dense,
 }
 
-impl SolverKind {
-    /// Resolves to a concrete backend choice.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `MAOPT_SIM_SOLVER` is set to anything other than
-    /// `sparse` or `dense` (misconfiguration must not silently change
-    /// numerics).
-    pub(crate) fn use_sparse(self) -> bool {
-        match self {
-            SolverKind::Sparse => true,
-            SolverKind::Dense => false,
-            SolverKind::Auto => {
-                static CHOICE: OnceLock<bool> = OnceLock::new();
-                *CHOICE.get_or_init(|| match std::env::var("MAOPT_SIM_SOLVER") {
-                    Err(_) => true,
-                    Ok(v) if v.eq_ignore_ascii_case("sparse") => true,
-                    Ok(v) if v.eq_ignore_ascii_case("dense") => false,
-                    Ok(v) => panic!("MAOPT_SIM_SOLVER must be `sparse` or `dense`, got `{v}`"),
-                })
-            }
-        }
-    }
-}
-
-/// Whether an analysis may start Newton from caller-provided state (a
-/// reference design's operating point) or extrapolated state (the
-/// transient predictor) instead of the cold flat-band guess.
-///
-/// Warm-starting only changes the Newton *starting point*; a converged
-/// solution still satisfies the same tolerance, and the full cold
-/// continuation ladder remains the automatic rescue when a warm attempt
-/// diverges. `Off` is bitwise identical to the pre-warm-start solver.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum WarmstartKind {
-    /// Honor the `MAOPT_SIM_WARMSTART` environment variable (`on` when
-    /// unset). The default.
-    #[default]
-    Auto,
-    /// Warm-starting active regardless of the environment.
-    On,
-    /// Cold path only.
-    Off,
-}
-
-impl WarmstartKind {
-    /// Resolves to a concrete choice.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `MAOPT_SIM_WARMSTART` is set to anything other than
-    /// `on` or `off` (misconfiguration must not silently change
-    /// performance characteristics).
-    pub(crate) fn enabled(self) -> bool {
-        match self {
-            WarmstartKind::On => true,
-            WarmstartKind::Off => false,
-            WarmstartKind::Auto => {
-                static CHOICE: OnceLock<bool> = OnceLock::new();
-                *CHOICE.get_or_init(|| match std::env::var("MAOPT_SIM_WARMSTART") {
-                    Err(_) => true,
-                    Ok(v) if v.eq_ignore_ascii_case("on") => true,
-                    Ok(v) if v.eq_ignore_ascii_case("off") => false,
-                    Ok(v) => panic!("MAOPT_SIM_WARMSTART must be `on` or `off`, got `{v}`"),
-                })
-            }
-        }
-    }
+/// The real stamp sequence an analysis's Newton assembly makes, fixed
+/// when its [`SolverWs`] is built.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum StampSeq {
+    /// `assemble_resistive` alone (DC).
+    Resistive,
+    /// `assemble_resistive` followed by `stamp_reactive` (transient).
+    Transient,
 }
 
 /// Dense matrix + factor buffers, reused across iterations.
@@ -129,25 +67,14 @@ impl DenseWs {
     }
 }
 
-/// The Jacobian write target handed to an assembly callback; see
-/// [`solve_newton_system`].
-pub(crate) enum JacView<'a> {
-    /// Stamp into a dense matrix (pre-zeroed).
-    Dense(&'a mut Mat),
-    /// Stamp into a CSC value array (pre-zeroed) via the topology's slot
-    /// maps.
-    Sparse {
-        vals: &'a mut [f64],
-        topo: &'a Topology,
-    },
-}
-
 /// Per-analysis real solver workspace.
 #[derive(Debug)]
 pub(crate) enum SolverWs {
     Dense(DenseWs),
     Sparse {
         topo: Arc<Topology>,
+        /// Length of the `topo.real_slots` prefix the assembly replays.
+        n_slots: usize,
         mat: SparseMat<f64>,
         lu: SparseLu<f64>,
         /// Dense retry workspace, created lazily on the first tiny-pivot
@@ -157,16 +84,22 @@ pub(crate) enum SolverWs {
 }
 
 impl SolverWs {
-    /// Builds the workspace for `kind`, falling back to dense when the
-    /// topology admits no symbolic factorization (the dense solve then
-    /// reports the structural singularity).
-    pub fn new(kind: SolverKind, ckt: &Circuit, layout: &Layout) -> SolverWs {
-        if kind.use_sparse() {
+    /// Builds the workspace for `kind` and the assembly's stamp sequence
+    /// `seq`, falling back to dense when the topology admits no symbolic
+    /// factorization (the dense solve then reports the structural
+    /// singularity).
+    pub fn new(kind: SolverKind, seq: StampSeq, ckt: &Circuit, layout: &Layout) -> SolverWs {
+        if kind == SolverKind::Sparse {
             let topo = topology_for(ckt, layout);
             if let Some(sym) = topo.symbolic.clone() {
                 let mat = SparseMat::zeros(Arc::clone(&topo.pattern));
+                let n_slots = match seq {
+                    StampSeq::Resistive => topo.n_resistive,
+                    StampSeq::Transient => topo.real_slots.len(),
+                };
                 return SolverWs::Sparse {
                     topo,
+                    n_slots,
                     mat,
                     lu: SparseLu::new(sym),
                     fallback: None,
@@ -191,9 +124,12 @@ fn fill_neg(f: &[f64], neg_f: &mut Vec<f64>) {
 /// One Newton linear step: assemble (through the callback), factor, and
 /// solve `J·Δx = −f` into `delta`.
 ///
-/// The callback must fill `f` from zero and stamp the Jacobian through
-/// the given [`JacView`]; it may be invoked twice (sparse attempt, then
-/// dense fallback) and must be idempotent.
+/// `f` and the Jacobian are zeroed before each callback; the callback adds
+/// the residual into `f` and stamps the Jacobian through the given
+/// [`Stamp`] — the dense matrix, or a [`SlotStamp`] replaying the stamp
+/// sequence registered in [`SolverWs::new`] (checked for drift
+/// afterwards). It may be invoked twice (sparse attempt, then dense
+/// fallback).
 pub(crate) fn solve_newton_system(
     ws: &mut SolverWs,
     analysis: &str,
@@ -201,37 +137,27 @@ pub(crate) fn solve_newton_system(
     f: &mut [f64],
     neg_f: &mut Vec<f64>,
     delta: &mut Vec<f64>,
-    assemble: &mut dyn FnMut(&mut [f64], JacView<'_>),
+    assemble: &mut dyn FnMut(&mut [f64], &mut dyn Stamp),
 ) -> Result<(), SimError> {
-    match ws {
+    let t = probe.start();
+    let (d, t) = match ws {
         SolverWs::Dense(d) => {
-            let t = probe.start();
-            d.jac.fill_zero();
-            assemble(f, JacView::Dense(&mut d.jac));
+            dense_assemble(d, f, assemble);
             probe.span(SPAN_ASSEMBLE, t);
-            let t = probe.start();
-            d.lu.refactor_from(&d.jac).map_err(|_| singular(analysis))?;
-            probe.span(SPAN_FACTOR, t);
-            let t = probe.start();
-            fill_neg(f, neg_f);
-            d.lu.solve_into(neg_f, delta)?;
-            probe.span(SPAN_SOLVE, t);
+            (d, probe.start())
         }
         SolverWs::Sparse {
             topo,
+            n_slots,
             mat,
             lu,
             fallback,
         } => {
-            let t = probe.start();
             mat.fill_zero();
-            assemble(
-                f,
-                JacView::Sparse {
-                    vals: mat.values_mut(),
-                    topo,
-                },
-            );
+            f.fill(0.0);
+            let mut st = SlotStamp::new(mat.values_mut(), &topo.real_slots[..*n_slots]);
+            assemble(f, &mut st);
+            st.finish();
             probe.span(SPAN_ASSEMBLE, t);
             let t = probe.start();
             if lu.factor(mat).is_ok() {
@@ -240,24 +166,34 @@ pub(crate) fn solve_newton_system(
                 fill_neg(f, neg_f);
                 lu.solve_into(neg_f, delta)?;
                 probe.span(SPAN_SOLVE, t);
-            } else {
-                // The pivot-free elimination hit a tiny pivot: retry this
-                // iteration on the dense pivoting solver. A genuinely
-                // singular system fails there too, so errors surface
-                // identically to the dense backend.
-                let d = fallback.get_or_insert_with(|| DenseWs::new(topo.pattern.n()));
-                d.jac.fill_zero();
-                assemble(f, JacView::Dense(&mut d.jac));
-                d.lu.refactor_from(&d.jac).map_err(|_| singular(analysis))?;
-                probe.span(SPAN_FACTOR, t);
-                let t = probe.start();
-                fill_neg(f, neg_f);
-                d.lu.solve_into(neg_f, delta)?;
-                probe.span(SPAN_SOLVE, t);
+                return Ok(());
             }
+            // The pivot-free elimination hit a tiny pivot: retry this
+            // iteration on the dense pivoting solver. A genuinely
+            // singular system fails there too, so errors surface
+            // identically to the dense backend.
+            let d = fallback.get_or_insert_with(|| DenseWs::new(topo.pattern.n()));
+            dense_assemble(d, f, assemble);
+            (d, t)
         }
-    }
+    };
+    d.lu.refactor_from(&d.jac).map_err(|_| singular(analysis))?;
+    probe.span(SPAN_FACTOR, t);
+    let t = probe.start();
+    fill_neg(f, neg_f);
+    d.lu.solve_into(neg_f, delta)?;
+    probe.span(SPAN_SOLVE, t);
     Ok(())
+}
+
+fn dense_assemble(
+    d: &mut DenseWs,
+    f: &mut [f64],
+    assemble: &mut dyn FnMut(&mut [f64], &mut dyn Stamp),
+) {
+    d.jac.fill_zero();
+    f.fill(0.0);
+    assemble(f, &mut d.jac);
 }
 
 /// Complex sparse workspace for the AC and noise analyses: value array +
@@ -270,11 +206,11 @@ pub(crate) struct CSparseWs {
 }
 
 impl CSparseWs {
-    /// `Some` when `kind` resolves to sparse and the topology admits a
+    /// `Some` when `kind` is sparse and the topology admits a
     /// symbolic factorization; `None` sends the caller down the dense
     /// path.
     pub fn new(kind: SolverKind, ckt: &Circuit, layout: &Layout) -> Option<CSparseWs> {
-        if !kind.use_sparse() {
+        if kind != SolverKind::Sparse {
             return None;
         }
         let topo = topology_for(ckt, layout);

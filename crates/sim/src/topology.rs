@@ -31,9 +31,7 @@ use maopt_linalg::{SparsityPattern, SymbolicLu};
 use crate::analysis::ac::assemble_ac;
 use crate::analysis::tran::Integrator;
 use crate::circuit::Circuit;
-use crate::mna::{
-    assemble_resistive, cap_list, ind_list, CStampCollector, Layout, MosOpsMode, StampCollector,
-};
+use crate::mna::{assemble_resistive, cap_list, ind_list, CStampCollector, Layout, StampCollector};
 use crate::mosfet::{MosOp, MosRegion};
 
 /// Cached per-topology sparse-solver data.
@@ -45,10 +43,12 @@ pub(crate) struct Topology {
     /// singular (no perfect row matching) — callers then use the dense
     /// path, which reports the singularity with identical errors.
     pub symbolic: Option<Arc<SymbolicLu>>,
-    /// Slot of each `Stamp::add` call of the resistive assembly.
-    pub resistive_slots: Vec<u32>,
-    /// Slot of each `Stamp::add` call of the transient companion stamping.
-    pub reactive_slots: Vec<u32>,
+    /// Slot of each `Stamp::add` call of the resistive assembly followed
+    /// by the transient companion stamping: DC replays the first
+    /// `n_resistive` entries, transient the whole sequence.
+    pub real_slots: Vec<u32>,
+    /// Length of the resistive prefix of `real_slots`.
+    pub n_resistive: usize,
     /// Slot of each `CStamp::add` call of the AC assembly.
     pub ac_slots: Vec<u32>,
 }
@@ -97,17 +97,7 @@ fn build_topology(ckt: &Circuit, layout: &Layout) -> Topology {
     let inds = ind_list(ckt, layout);
 
     let mut resistive = StampCollector::default();
-    assemble_resistive(
-        ckt,
-        layout,
-        &x,
-        1e-12,
-        1.0,
-        None,
-        &mut f,
-        &mut resistive,
-        MosOpsMode::Inline,
-    );
+    assemble_resistive(ckt, layout, &x, 1e-12, 1.0, None, &mut f, &mut resistive);
 
     let mut reactive = StampCollector::default();
     let cap_zero = vec![0.0; caps.len()];
@@ -149,8 +139,8 @@ fn build_topology(ckt: &Circuit, layout: &Layout) -> Topology {
     };
 
     Topology {
-        resistive_slots: to_slots(&resistive.entries),
-        reactive_slots: to_slots(&reactive.entries),
+        real_slots: to_slots(&entries[..resistive.entries.len() + reactive.entries.len()]),
+        n_resistive: resistive.entries.len(),
         ac_slots: to_slots(&ac.entries),
         symbolic: SymbolicLu::analyze(&pattern).ok().map(Arc::new),
         pattern,
@@ -216,7 +206,8 @@ mod tests {
         let topo = topology_for(&ckt, &layout);
         assert!(topo.symbolic.is_some(), "MNA system must admit a matching");
         let nnz = topo.pattern.nnz() as u32;
-        for slots in [&topo.resistive_slots, &topo.reactive_slots, &topo.ac_slots] {
+        assert!(topo.n_resistive <= topo.real_slots.len());
+        for slots in [&topo.real_slots, &topo.ac_slots] {
             assert!(slots.iter().all(|&s| s < nnz));
         }
         assert_eq!(topo.pattern.n(), layout.n_unknowns);

@@ -1,12 +1,12 @@
 //! Warm-started DC solves must be *transparent*: same converged solution
 //! (to solver tolerance), same error surface, and an exact cold path when
-//! warm-starting is off — for any seed, including hostile ones.
+//! the seed is unusable — for any seed, including hostile ones.
 
 use std::sync::Arc;
 
 use maopt_exec::{set_ambient_metrics, MetricSnapshot, MetricsRegistry};
 use maopt_sim::analysis::dc::DcAnalysis;
-use maopt_sim::{nmos_180nm, pmos_180nm, Circuit, MosInstance, SimError, WarmstartKind};
+use maopt_sim::{nmos_180nm, pmos_180nm, Circuit, MosInstance, SimError};
 use proptest::prelude::*;
 
 fn mi(model: &maopt_sim::MosModel, w_um: f64, l_um: f64) -> MosInstance {
@@ -46,20 +46,6 @@ fn five_t_ota(w1: f64, w2: f64, wt: f64) -> Circuit {
     ckt
 }
 
-fn warm() -> DcAnalysis {
-    DcAnalysis {
-        warmstart: WarmstartKind::On,
-        ..DcAnalysis::new()
-    }
-}
-
-fn cold() -> DcAnalysis {
-    DcAnalysis {
-        warmstart: WarmstartKind::Off,
-        ..DcAnalysis::new()
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -74,33 +60,16 @@ proptest! {
     ) {
         let ckt = five_t_ota(w1, w2, wt);
         let reference = five_t_ota(w1 * (1.0 + dw), w2 * (1.0 - 0.5 * dw), wt);
-        let seed = cold().run(&reference).unwrap().unknowns().to_vec();
+        let seed = DcAnalysis::new().run(&reference).unwrap().unknowns().to_vec();
 
-        let plain = cold().run(&ckt).unwrap();
-        let warm_op = warm().run_seeded(&ckt, None, Some(&seed)).unwrap();
+        let plain = DcAnalysis::new().run(&ckt).unwrap();
+        let warm_op = DcAnalysis::new().run_seeded(&ckt, None, Some(&seed)).unwrap();
         for (a, b) in warm_op.unknowns().iter().zip(plain.unknowns()) {
             prop_assert!(
                 (a - b).abs() < 1e-9 * (1.0 + b.abs()),
                 "warm {a} vs cold {b}"
             );
         }
-    }
-
-    /// `WarmstartKind::Off` ignores the seed entirely: the solve is
-    /// bitwise identical to the unseeded cold path, iteration count
-    /// included.
-    #[test]
-    fn off_restores_the_cold_path_exactly(
-        w1 in 4.0f64..80.0,
-        w2 in 4.0f64..80.0,
-        wt in 4.0f64..40.0,
-    ) {
-        let ckt = five_t_ota(w1, w2, wt);
-        let seed = cold().run(&five_t_ota(w1 * 1.1, w2, wt)).unwrap().unknowns().to_vec();
-        let plain = cold().run(&ckt).unwrap();
-        let seeded = cold().run_seeded(&ckt, None, Some(&seed)).unwrap();
-        prop_assert_eq!(plain.unknowns(), seeded.unknowns());
-        prop_assert_eq!(plain.newton_iterations(), seeded.newton_iterations());
     }
 
     /// A deliberately hostile seed (rail-to-rail garbage) never changes
@@ -114,11 +83,11 @@ proptest! {
         mag in 20.0f64..200.0,
     ) {
         let ckt = five_t_ota(w1, w2, wt);
-        let plain = cold().run(&ckt).unwrap();
+        let plain = DcAnalysis::new().run(&ckt).unwrap();
         let hostile: Vec<f64> = (0..plain.unknowns().len())
             .map(|i| if i % 2 == 0 { mag } else { -mag })
             .collect();
-        let rescued = warm().run_seeded(&ckt, None, Some(&hostile)).unwrap();
+        let rescued = DcAnalysis::new().run_seeded(&ckt, None, Some(&hostile)).unwrap();
         for (a, b) in rescued.unknowns().iter().zip(plain.unknowns()) {
             prop_assert!(
                 (a - b).abs() < 1e-9 * (1.0 + b.abs()),
@@ -134,10 +103,15 @@ proptest! {
 #[test]
 fn wrong_length_seed_runs_cold_not_bad_request() {
     let ckt = five_t_ota(20.0, 20.0, 10.0);
-    let plain = cold().run(&ckt).unwrap();
+    let plain = DcAnalysis::new().run(&ckt).unwrap();
     let short = vec![0.5; 3];
-    let op = warm().run_seeded(&ckt, None, Some(&short)).unwrap();
+    let op = DcAnalysis::new()
+        .run_seeded(&ckt, None, Some(&short))
+        .unwrap();
+    // An unusable seed gives exactly the cold solve, iteration count
+    // included.
     assert_eq!(plain.unknowns(), op.unknowns());
+    assert_eq!(plain.newton_iterations(), op.newton_iterations());
 }
 
 #[test]
@@ -145,17 +119,13 @@ fn seeded_and_cold_fail_with_identical_error_variants() {
     // An iteration budget of 1 defeats every continuation stage on this
     // nonlinear circuit, whatever the starting point.
     let ckt = five_t_ota(20.0, 20.0, 10.0);
-    let strangled_cold = DcAnalysis {
+    let strangled = DcAnalysis {
         max_iter: 1,
-        ..cold()
+        ..DcAnalysis::new()
     };
-    let strangled_warm = DcAnalysis {
-        max_iter: 1,
-        ..warm()
-    };
-    let hostile = vec![40.0; cold().run(&ckt).unwrap().unknowns().len()];
-    let a = strangled_cold.run(&ckt).unwrap_err();
-    let b = strangled_warm
+    let hostile = vec![40.0; DcAnalysis::new().run(&ckt).unwrap().unknowns().len()];
+    let a = strangled.run(&ckt).unwrap_err();
+    let b = strangled
         .run_seeded(&ckt, None, Some(&hostile))
         .unwrap_err();
     match (&a, &b) {
@@ -173,14 +143,18 @@ fn warmstart_outcomes_land_in_the_ambient_metrics() {
     let _guard = set_ambient_metrics(Some(Arc::clone(&reg)));
 
     let ckt = five_t_ota(20.0, 20.0, 10.0);
-    let seed = cold().run(&ckt).unwrap().unknowns().to_vec();
+    let seed = DcAnalysis::new().run(&ckt).unwrap().unknowns().to_vec();
     // Hit: seeded with its own converged OP.
-    warm().run_seeded(&ckt, None, Some(&seed)).unwrap();
+    DcAnalysis::new()
+        .run_seeded(&ckt, None, Some(&seed))
+        .unwrap();
     // Cold: no seed provided.
-    warm().run_seeded(&ckt, None, None).unwrap();
+    DcAnalysis::new().run_seeded(&ckt, None, None).unwrap();
     // Fallback: hostile seed.
     let hostile = vec![50.0; seed.len()];
-    warm().run_seeded(&ckt, None, Some(&hostile)).unwrap();
+    DcAnalysis::new()
+        .run_seeded(&ckt, None, Some(&hostile))
+        .unwrap();
 
     let snap = reg.snapshot();
     let counter = |name: &str| -> u64 {

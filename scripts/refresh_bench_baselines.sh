@@ -11,7 +11,7 @@
 #   results/BENCH_kernels_baseline.json    — kernels / mlp / critic groups
 #   results/BENCH_parallel_baseline.json   — gemm_tiled / pool groups
 #   results/BENCH_sim_baseline.json        — sim group (sparse vs dense MNA,
-#                                            batched MOSFET eval)
+#                                            MOSFET eval)
 #   results/BENCH_warmstart_baseline.json  — warmstart group (seeded vs
 #                                            cold DC solves)
 #
