@@ -1,10 +1,11 @@
 use maopt_bo::BoOptimizer;
-use maopt_core::runner::{make_initial_sets, run_method, Optimizer};
+use maopt_core::runner::{make_initial_sets_with, run_method, Optimizer};
 use maopt_core::{MaOptConfig, SizingProblem};
+use maopt_exec::EvalEngine;
 use std::time::Instant;
 
 fn check(p: &dyn SizingProblem, runs: usize, budget: usize) {
-    let inits = make_initial_sets(p, runs, 100, 11);
+    let inits = make_initial_sets_with(p, runs, 100, 11, &EvalEngine::default());
     let methods: Vec<Box<dyn Optimizer>> = vec![
         Box::new(BoOptimizer::new()),
         Box::new(MaOptConfig::dnn_opt(0)),

@@ -47,10 +47,9 @@ use maopt_bench::report::{
 use maopt_bench::runtime_model::RuntimeModel;
 use maopt_bench::{paper_methods, Protocol};
 use maopt_circuits::{LdoRegulator, ThreeStageTia, TwoStageOta};
-use maopt_core::chaos::ChaoticProblem;
+use maopt_core::chaos::{ChaosConfig, ChaoticProblem};
 use maopt_core::runner::{make_initial_sets_nested, run_method_resumable, MethodStats};
 use maopt_core::{RunCheckpointer, SizingProblem};
-use maopt_exec::chaos::ChaosConfig;
 use maopt_exec::{EvalEngine, FaultPolicy, MetricSnapshot, SimCache, Telemetry, TraceRecorder};
 use maopt_obs::{EngineRecord, Journal, Record};
 use maopt_serve::{install_signal_flag, signal_flag};

@@ -103,6 +103,7 @@ mod tests {
     use maopt_core::problems::Sphere;
     use maopt_core::runner::{sample_initial_set, Optimizer};
     use maopt_core::MaOptConfig;
+    use maopt_exec::EvalEngine;
 
     fn tiny(cfg: MaOptConfig) -> MaOptConfig {
         MaOptConfig {
@@ -118,7 +119,7 @@ mod tests {
     fn dnn_opt_round_costs_match_calibration() {
         let p = Sphere::new(2);
         let init = sample_initial_set(&p, 5, 1);
-        let r = tiny(MaOptConfig::dnn_opt(1)).optimize(&p, &init, 10, 1);
+        let r = tiny(MaOptConfig::dnn_opt(1)).optimize(&p, &init, 10, 1, &EvalEngine::serial());
         let model = RuntimeModel::default();
         let hours = model.run_hours(&r, 1);
         // 10 single-actor rounds × 12.4 s.
@@ -130,8 +131,8 @@ mod tests {
         let p = Sphere::new(2);
         let init = sample_initial_set(&p, 5, 2);
         let model = RuntimeModel::default();
-        let r1 = tiny(MaOptConfig::dnn_opt(2)).optimize(&p, &init, 30, 2);
-        let r3 = tiny(MaOptConfig::ma_opt2(2)).optimize(&p, &init, 30, 2);
+        let r1 = tiny(MaOptConfig::dnn_opt(2)).optimize(&p, &init, 30, 2, &EvalEngine::serial());
+        let r3 = tiny(MaOptConfig::ma_opt2(2)).optimize(&p, &init, 30, 2, &EvalEngine::serial());
         let h1 = model.run_hours(&r1, 1);
         let h3 = model.run_hours(&r3, 3);
         assert!(h3 > h1, "multi-actor must model slower: {h1} vs {h3}");
@@ -151,8 +152,8 @@ mod tests {
             ..BoOptimizer::new()
         };
         let model = RuntimeModel::default();
-        let r_small = bo.optimize(&p, &small_init, 5, 3);
-        let r_large = bo.optimize(&p, &large_init, 5, 3);
+        let r_small = bo.optimize(&p, &small_init, 5, 3, &EvalEngine::serial());
+        let r_large = bo.optimize(&p, &large_init, 5, 3, &EvalEngine::serial());
         assert!(model.run_hours(&r_large, 1) > model.run_hours(&r_small, 1));
     }
 }

@@ -21,11 +21,14 @@
 //! use maopt_bo::BoOptimizer;
 //! use maopt_core::problems::Sphere;
 //! use maopt_core::runner::{sample_initial_set, Optimizer};
+//! use maopt_exec::EvalEngine;
 //!
 //! let problem = Sphere::new(3);
 //! let init = sample_initial_set(&problem, 15, 1);
 //! let bo = BoOptimizer::new();
-//! let result = bo.optimize(&problem, &init, 10, 1);
+//! // The engine scores the EI candidates; every worker count gives the
+//! // serial engine's result.
+//! let result = bo.optimize(&problem, &init, 10, 1, &EvalEngine::serial());
 //! assert_eq!(result.trace.num_sims(), 10);
 //! ```
 
@@ -106,16 +109,6 @@ impl Optimizer for BoOptimizer {
     }
 
     fn optimize(
-        &self,
-        problem: &dyn SizingProblem,
-        init: &[(Vec<f64>, Vec<f64>)],
-        budget: usize,
-        seed: u64,
-    ) -> RunResult {
-        self.optimize_with(problem, init, budget, seed, &EvalEngine::serial())
-    }
-
-    fn optimize_with(
         &self,
         problem: &dyn SizingProblem,
         init: &[(Vec<f64>, Vec<f64>)],
@@ -233,7 +226,7 @@ mod tests {
             n_candidates: 500,
             ..BoOptimizer::new()
         };
-        let result = bo.optimize(&problem, &init, 20, 3);
+        let result = bo.optimize(&problem, &init, 20, 3, &EvalEngine::serial());
         assert!(result.best_fom() < result.trace.init_best_fom());
         assert_eq!(result.trace.num_sims(), 20);
     }
@@ -246,7 +239,7 @@ mod tests {
             n_candidates: 300,
             ..BoOptimizer::new()
         };
-        let result = bo.optimize(&problem, &init, 10, 4);
+        let result = bo.optimize(&problem, &init, 10, 4, &EvalEngine::serial());
         assert_eq!(result.trace.num_sims(), 10);
         assert!(result.best_fom().is_finite());
     }
@@ -259,8 +252,8 @@ mod tests {
             n_candidates: 200,
             ..BoOptimizer::new()
         };
-        let a = bo.optimize(&problem, &init, 5, 9);
-        let b = bo.optimize(&problem, &init, 5, 9);
+        let a = bo.optimize(&problem, &init, 5, 9, &EvalEngine::serial());
+        let b = bo.optimize(&problem, &init, 5, 9, &EvalEngine::serial());
         assert_eq!(a.trace.best_fom_series(5), b.trace.best_fom_series(5));
     }
 
@@ -272,8 +265,8 @@ mod tests {
             n_candidates: 300,
             ..BoOptimizer::new()
         };
-        let serial = bo.optimize_with(&problem, &init, 8, 7, &EvalEngine::serial());
-        let pooled = bo.optimize_with(&problem, &init, 8, 7, &EvalEngine::new(4));
+        let serial = bo.optimize(&problem, &init, 8, 7, &EvalEngine::serial());
+        let pooled = bo.optimize(&problem, &init, 8, 7, &EvalEngine::new(4));
         assert_eq!(serial.best_fom(), pooled.best_fom());
         assert_eq!(
             serial.trace.best_fom_series(8),

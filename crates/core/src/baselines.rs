@@ -2,7 +2,8 @@
 //! particle swarm optimization (ref. [7]), differential evolution
 //! (ref. [8]) and plain random search. All three implement
 //! [`crate::runner::Optimizer`], so they slot into the experiment harness
-//! next to BO and the RL-inspired methods.
+//! next to BO and the RL-inspired methods. They simulate serially on the
+//! calling thread and ignore the engine they are handed.
 //!
 //! The paper's §I argument against these population methods is their *low
 //! convergence rate* at small simulation budgets — easily verified here by
@@ -10,6 +11,7 @@
 
 use std::time::Instant;
 
+use maopt_exec::EvalEngine;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -43,6 +45,7 @@ impl Optimizer for RandomSearch {
         init: &[(Vec<f64>, Vec<f64>)],
         budget: usize,
         seed: u64,
+        _engine: &EvalEngine,
     ) -> RunResult {
         let t0 = Instant::now();
         let specs = problem.specs().to_vec();
@@ -122,6 +125,7 @@ impl Optimizer for ParticleSwarm {
         init: &[(Vec<f64>, Vec<f64>)],
         budget: usize,
         seed: u64,
+        _engine: &EvalEngine,
     ) -> RunResult {
         let t0 = Instant::now();
         let specs = problem.specs().to_vec();
@@ -244,6 +248,7 @@ impl Optimizer for DifferentialEvolution {
         init: &[(Vec<f64>, Vec<f64>)],
         budget: usize,
         seed: u64,
+        _engine: &EvalEngine,
     ) -> RunResult {
         let t0 = Instant::now();
         let specs = problem.specs().to_vec();
@@ -327,7 +332,7 @@ mod tests {
     fn improves(opt: &dyn Optimizer, seed: u64) -> (f64, f64) {
         let p = Sphere::new(4);
         let init = sample_initial_set(&p, 20, seed);
-        let r = opt.optimize(&p, &init, 60, seed);
+        let r = opt.optimize(&p, &init, 60, seed, &EvalEngine::serial());
         assert_eq!(r.trace.num_sims(), 60, "{} budget accounting", r.label);
         (r.trace.init_best_fom(), r.best_fom())
     }
@@ -364,8 +369,8 @@ mod tests {
         let mut pso_wins = 0;
         for seed in 0..5 {
             let init = sample_initial_set(&p, 20, seed);
-            let pso = ParticleSwarm::new().optimize(&p, &init, 60, seed);
-            let rnd = RandomSearch::new().optimize(&p, &init, 60, seed);
+            let pso = ParticleSwarm::new().optimize(&p, &init, 60, seed, &EvalEngine::serial());
+            let rnd = RandomSearch::new().optimize(&p, &init, 60, seed, &EvalEngine::serial());
             if pso.best_fom() <= rnd.best_fom() {
                 pso_wins += 1;
             }
@@ -381,8 +386,8 @@ mod tests {
             &ParticleSwarm::new() as &dyn Optimizer,
             &DifferentialEvolution::new(),
         ] {
-            let a = opt.optimize(&p, &init, 20, 9);
-            let b = opt.optimize(&p, &init, 20, 9);
+            let a = opt.optimize(&p, &init, 20, 9, &EvalEngine::serial());
+            let b = opt.optimize(&p, &init, 20, 9, &EvalEngine::serial());
             assert_eq!(a.trace.best_fom_series(20), b.trace.best_fom_series(20));
         }
     }
@@ -391,7 +396,7 @@ mod tests {
     fn traces_mark_baseline_kind() {
         let p = Sphere::new(2);
         let init = sample_initial_set(&p, 8, 5);
-        let r = DifferentialEvolution::new().optimize(&p, &init, 5, 5);
+        let r = DifferentialEvolution::new().optimize(&p, &init, 5, 5, &EvalEngine::serial());
         assert!(r
             .trace
             .entries()

@@ -124,7 +124,7 @@ mod tests {
             n_samples: 50,
             ..MaOptConfig::ma_opt(3)
         };
-        let r = cfg.optimize(&p, &init, 9, 3);
+        let r = cfg.optimize(&p, &init, 9, 3, &maopt_exec::EvalEngine::serial());
         (p, r)
     }
 

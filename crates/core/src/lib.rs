@@ -16,7 +16,21 @@
 //! * a statistics-collecting experiment [`runner`] reproducing the paper's
 //!   tables and figures,
 //! * the classic population baselines the paper's related work cites —
-//!   PSO, differential evolution and random search ([`baselines`]).
+//!   PSO, differential evolution and random search ([`baselines`]),
+//! * deterministic fault injection for crash-recovery tests ([`chaos`]).
+//!
+//! # Running an optimizer
+//!
+//! Each way in has a convenience call and a full call. The convenience
+//! calls — [`MaOpt::run`], [`runner::sample_initial_set`],
+//! [`runner::make_initial_sets`] and [`runner::run_method`] — simulate on
+//! [`maopt_exec::EvalEngine::serial`] without a journal or checkpoints. The
+//! full calls — [`MaOpt::run_resumable`], [`runner::sample_initial_set_with`],
+//! [`runner::make_initial_sets_nested`] and [`runner::run_method_resumable`]
+//! — take the engine(s), the run journals and the checkpointers. Every
+//! method implements [`runner::Optimizer`], whose one required method
+//! takes the engine. Results are bitwise identical for any worker count,
+//! with or without a journal.
 //!
 //! # Example: optimize a synthetic quadratic sizing problem
 //!

@@ -226,9 +226,11 @@ impl MaOpt {
         &self.config
     }
 
-    /// Runs the optimization: `init` is the pre-simulated initial set
-    /// `(x, f(x))` (shared across methods in the paper's protocol), `budget`
-    /// the number of additional simulations allowed.
+    /// Runs the optimization serially, without a journal or checkpoints:
+    /// `init` is the pre-simulated initial set `(x, f(x))` (shared across
+    /// methods in the paper's protocol), `budget` the number of additional
+    /// simulations allowed. [`MaOpt::run_resumable`] on
+    /// [`EvalEngine::serial`].
     ///
     /// # Panics
     ///
@@ -239,63 +241,42 @@ impl MaOpt {
         init: Vec<(Vec<f64>, Vec<f64>)>,
         budget: usize,
     ) -> RunResult {
-        self.run_with(problem, init, budget, &EvalEngine::default())
+        self.run_resumable(
+            problem,
+            init,
+            budget,
+            &EvalEngine::serial(),
+            &Journal::disabled(),
+            None,
+        )
     }
 
     /// [`MaOpt::run`] with actor training, proposal simulations and
-    /// near-sampling ranking dispatched through the given [`EvalEngine`].
+    /// near-sampling ranking dispatched through the given [`EvalEngine`],
+    /// optimizer internals streamed into a run [`Journal`], and crash-safe
+    /// checkpointing.
     ///
     /// Every per-actor computation is seeded independently of scheduling
     /// (`iter_seed ^ (i << 17)`), so the result is bitwise identical for
     /// any engine worker count.
     ///
-    /// # Panics
+    /// The journal receives a run manifest, per-round critic/actor/elite
+    /// records, near-sampling decisions and engine counter deltas. Every
+    /// journal-only computation (loss traces, elite geometry, Spearman
+    /// fidelity) is gated on [`Journal::enabled`], none of it consumes RNG
+    /// draws or perturbs optimization arithmetic, so results are bitwise
+    /// identical whether or not journaling is on; pass
+    /// [`Journal::disabled`] to switch it off.
     ///
-    /// Panics if `init` is empty.
-    pub fn run_with(
-        &self,
-        problem: &dyn SizingProblem,
-        init: Vec<(Vec<f64>, Vec<f64>)>,
-        budget: usize,
-        engine: &EvalEngine,
-    ) -> RunResult {
-        self.run_observed(problem, init, budget, engine, &Journal::disabled())
-    }
-
-    /// [`MaOpt::run_with`] that additionally streams optimizer internals —
-    /// a run manifest, per-round critic/actor/elite records, near-sampling
-    /// decisions and engine counter deltas — into the given run
-    /// [`Journal`].
-    ///
-    /// With a disabled journal this *is* `run_with`: every journal-only
-    /// computation (loss traces, elite geometry, Spearman fidelity) is
-    /// gated on [`Journal::enabled`], none of it consumes RNG draws or
-    /// perturbs optimization arithmetic, so results are bitwise identical
-    /// whether or not journaling is on.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `init` is empty.
-    pub fn run_observed(
-        &self,
-        problem: &dyn SizingProblem,
-        init: Vec<(Vec<f64>, Vec<f64>)>,
-        budget: usize,
-        engine: &EvalEngine,
-        journal: &Journal,
-    ) -> RunResult {
-        self.run_resumable(problem, init, budget, engine, journal, None)
-    }
-
-    /// [`MaOpt::run_observed`] with crash-safe checkpointing: with a
-    /// [`RunCheckpointer`], the full optimizer state — RNG stream
+    /// With a [`RunCheckpointer`], the full optimizer state — RNG stream
     /// position, simulated population with trace provenance, per-actor
     /// and critic weights plus Adam moments, the fitted output scaler,
     /// elite bookkeeping, the simulation cache, the operating-point store
     /// (so warm runs resume warm) and the journal lines written so far —
-    /// is atomically persisted after every completed round. With resume enabled, a run killed at any instant continues
-    /// from its last durable round and produces a journal byte-identical
-    /// to an uninterrupted run on every non-timing field.
+    /// is atomically persisted after every completed round. With resume
+    /// enabled, a run killed at any instant continues from its last
+    /// durable round and produces a journal byte-identical to an
+    /// uninterrupted run on every non-timing field.
     ///
     /// # Panics
     ///

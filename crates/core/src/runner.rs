@@ -23,39 +23,35 @@ pub trait Optimizer: Send + Sync {
     fn name(&self) -> String;
 
     /// Runs one optimization with the given pre-simulated initial set,
-    /// simulation budget and RNG seed.
+    /// simulation budget and RNG seed, running every simulation and
+    /// internal fan-out through the given [`EvalEngine`] (pass
+    /// [`EvalEngine::serial`] for the plain serial path). Implementations
+    /// must keep the result bitwise identical for any worker count;
+    /// optimizers without internal fan-out may ignore the engine.
     fn optimize(
         &self,
         problem: &dyn SizingProblem,
         init: &[(Vec<f64>, Vec<f64>)],
         budget: usize,
         seed: u64,
+        engine: &EvalEngine,
     ) -> RunResult;
 
-    /// Like [`Optimizer::optimize`], but running every simulation and
-    /// internal fan-out through the given [`EvalEngine`]. Implementations
-    /// must keep the result bitwise identical for any worker count; the
-    /// default ignores the engine and runs the plain serial path.
-    fn optimize_with(
-        &self,
-        problem: &dyn SizingProblem,
-        init: &[(Vec<f64>, Vec<f64>)],
-        budget: usize,
-        seed: u64,
-        engine: &EvalEngine,
-    ) -> RunResult {
-        let _ = engine;
-        self.optimize(problem, init, budget, seed)
-    }
-
-    /// Like [`Optimizer::optimize_with`], additionally streaming run
-    /// internals into the given [`Journal`]. The default wraps
-    /// [`Optimizer::optimize_with`] between a [`Manifest`] and a
-    /// [`RunEnd`] record — optimizers without internal instrumentation
-    /// (e.g. the BO baseline) still produce a valid, if shallow, journal.
-    /// Implementations must keep results bitwise identical to
-    /// [`Optimizer::optimize_with`] whether or not the journal is enabled.
-    fn optimize_observed(
+    /// Like [`Optimizer::optimize`], additionally streaming run internals
+    /// into the given [`Journal`] and persisting crash-recovery
+    /// checkpoints through the given [`RunCheckpointer`] (see
+    /// [`crate::MaOpt::run_resumable`]). Implementations must keep results
+    /// bitwise identical to [`Optimizer::optimize`] whether or not the
+    /// journal is enabled.
+    ///
+    /// The default ignores the checkpointer — optimizers without
+    /// checkpoint support (e.g. the BO baseline) simply run
+    /// un-checkpointed — and wraps [`Optimizer::optimize`] between a
+    /// [`Manifest`] and a [`RunEnd`] record, so optimizers without
+    /// internal instrumentation still produce a valid, if shallow,
+    /// journal.
+    #[allow(clippy::too_many_arguments)]
+    fn optimize_resumable(
         &self,
         problem: &dyn SizingProblem,
         init: &[(Vec<f64>, Vec<f64>)],
@@ -63,9 +59,11 @@ pub trait Optimizer: Send + Sync {
         seed: u64,
         engine: &EvalEngine,
         journal: &Journal,
+        ckpt: Option<&RunCheckpointer>,
     ) -> RunResult {
+        let _ = ckpt;
         if !journal.enabled() {
-            return self.optimize_with(problem, init, budget, seed, engine);
+            return self.optimize(problem, init, budget, seed, engine);
         }
         let (version, build) = Manifest::build_info();
         journal.write(&Record::Manifest(Manifest {
@@ -82,7 +80,7 @@ pub trait Optimizer: Send + Sync {
             config: maopt_obs::json::Json::obj(vec![]),
         }));
         let before = engine.telemetry().snapshot();
-        let result = self.optimize_with(problem, init, budget, seed, engine);
+        let result = self.optimize(problem, init, budget, seed, engine);
         journal.write(&Record::RunEnd(RunEnd {
             rounds: 0, // unknown for un-instrumented optimizers
             sims: result.trace.num_sims(),
@@ -97,26 +95,6 @@ pub trait Optimizer: Send + Sync {
         journal.flush();
         result
     }
-
-    /// Like [`Optimizer::optimize_observed`], additionally persisting
-    /// crash-recovery checkpoints through the given [`RunCheckpointer`]
-    /// (see [`crate::MaOpt::run_resumable`]). The default ignores the
-    /// checkpointer — optimizers without checkpoint support (e.g. the BO
-    /// baseline) simply run un-checkpointed rather than failing.
-    #[allow(clippy::too_many_arguments)]
-    fn optimize_resumable(
-        &self,
-        problem: &dyn SizingProblem,
-        init: &[(Vec<f64>, Vec<f64>)],
-        budget: usize,
-        seed: u64,
-        engine: &EvalEngine,
-        journal: &Journal,
-        ckpt: Option<&RunCheckpointer>,
-    ) -> RunResult {
-        let _ = ckpt;
-        self.optimize_observed(problem, init, budget, seed, engine, journal)
-    }
 }
 
 impl Optimizer for MaOptConfig {
@@ -130,43 +108,17 @@ impl Optimizer for MaOptConfig {
         init: &[(Vec<f64>, Vec<f64>)],
         budget: usize,
         seed: u64,
-    ) -> RunResult {
-        let config = MaOptConfig {
-            seed,
-            ..self.clone()
-        };
-        MaOpt::new(config).run(problem, init.to_vec(), budget)
-    }
-
-    fn optimize_with(
-        &self,
-        problem: &dyn SizingProblem,
-        init: &[(Vec<f64>, Vec<f64>)],
-        budget: usize,
-        seed: u64,
         engine: &EvalEngine,
     ) -> RunResult {
-        let config = MaOptConfig {
+        self.optimize_resumable(
+            problem,
+            init,
+            budget,
             seed,
-            ..self.clone()
-        };
-        MaOpt::new(config).run_with(problem, init.to_vec(), budget, engine)
-    }
-
-    fn optimize_observed(
-        &self,
-        problem: &dyn SizingProblem,
-        init: &[(Vec<f64>, Vec<f64>)],
-        budget: usize,
-        seed: u64,
-        engine: &EvalEngine,
-        journal: &Journal,
-    ) -> RunResult {
-        let config = MaOptConfig {
-            seed,
-            ..self.clone()
-        };
-        MaOpt::new(config).run_observed(problem, init.to_vec(), budget, engine, journal)
+            engine,
+            &Journal::disabled(),
+            None,
+        )
     }
 
     fn optimize_resumable(
@@ -187,13 +139,14 @@ impl Optimizer for MaOptConfig {
     }
 }
 
-/// Samples and simulates `n` uniform random designs — the paper's `X_init`.
+/// Samples and simulates `n` uniform random designs — the paper's `X_init`
+/// — on a serial engine.
 pub fn sample_initial_set(
     problem: &dyn SizingProblem,
     n: usize,
     seed: u64,
 ) -> Vec<(Vec<f64>, Vec<f64>)> {
-    sample_initial_set_with(problem, n, seed, &EvalEngine::default())
+    sample_initial_set_with(problem, n, seed, &EvalEngine::serial())
 }
 
 /// [`sample_initial_set`] running its simulations on the given engine's
@@ -257,7 +210,9 @@ impl MethodStats {
     }
 }
 
-/// Runs `runs` independent repetitions of one optimizer on a problem.
+/// Runs `runs` independent repetitions of one optimizer on a problem,
+/// serially and without journals or checkpoints — [`run_method_resumable`]
+/// on serial engines.
 ///
 /// Run `r` uses the initial set `inits[r]` and seed `base_seed + r`, so that
 /// different methods given the same `inits` see identical starting data —
@@ -274,108 +229,7 @@ pub fn run_method(
     budget: usize,
     base_seed: u64,
 ) -> MethodStats {
-    run_method_with(
-        optimizer,
-        problem,
-        inits,
-        runs,
-        budget,
-        base_seed,
-        &EvalEngine::serial(),
-    )
-}
-
-/// [`run_method`] with run-level parallelism and engine-backed simulations.
-///
-/// Runs are mutually independent (run `r` is fully determined by `inits[r]`
-/// and `base_seed + r`), so executing them concurrently on the engine's
-/// pool yields bitwise-identical per-run results to the serial loop; only
-/// wall-clock changes. The returned [`MethodStats::exec`] holds the engine
-/// counters accumulated by this method.
-///
-/// # Panics
-///
-/// Panics if `inits.len() < runs`.
-pub fn run_method_with(
-    optimizer: &dyn Optimizer,
-    problem: &dyn SizingProblem,
-    inits: &[Vec<(Vec<f64>, Vec<f64>)>],
-    runs: usize,
-    budget: usize,
-    base_seed: u64,
-    engine: &EvalEngine,
-) -> MethodStats {
-    run_method_observed(
-        optimizer,
-        problem,
-        inits,
-        runs,
-        budget,
-        base_seed,
-        engine,
-        &[],
-    )
-}
-
-/// [`run_method_with`] with one run [`Journal`] per run: run `r` streams
-/// its internals into `journals[r]`; runs beyond `journals.len()` (and all
-/// runs, when `journals` is empty) get the disabled no-op journal.
-/// Per-run results are bitwise identical to [`run_method_with`].
-///
-/// # Panics
-///
-/// Panics if `inits.len() < runs`.
-#[allow(clippy::too_many_arguments)]
-pub fn run_method_observed(
-    optimizer: &dyn Optimizer,
-    problem: &dyn SizingProblem,
-    inits: &[Vec<(Vec<f64>, Vec<f64>)>],
-    runs: usize,
-    budget: usize,
-    base_seed: u64,
-    engine: &EvalEngine,
-    journals: &[Journal],
-) -> MethodStats {
-    run_method_nested(
-        optimizer, problem, inits, runs, budget, base_seed, engine, engine, journals,
-    )
-}
-
-/// [`run_method_observed`] with hierarchical job budgeting: repetitions
-/// fan out over `run_engine`'s pool while each repetition's simulations
-/// and training lanes fan out over `engine`'s pool, so up to
-/// `run_engine.jobs() * engine.jobs()` simulations are in flight at once.
-/// Passing the same engine for both levels collapses to the single-pool
-/// behaviour (run-level fan-out with inline per-run simulation, since a
-/// pool never re-enters itself).
-///
-/// Run `r` is fully determined by `inits[r]` and the per-run seed stream
-/// `base_seed + r`, so per-run results — and every non-timing field of
-/// the per-run journals — are bitwise identical for any worker count at
-/// either level. To keep that true for the journals' engine counter
-/// deltas, every run executes on a clone of `engine` carrying an
-/// *isolated* [`maopt_exec::Telemetry`] — fresh counters and metrics,
-/// but the same flight recorder when one is attached, so tracing never
-/// perturbs journal bytes — and a fresh [`SimCache`] when `engine` has
-/// one, at the cost of cross-run cache sharing. The per-run telemetry is
-/// merged back into `engine`'s sink after each run, so aggregate
-/// accounting is preserved.
-///
-/// # Panics
-///
-/// Panics if `inits.len() < runs`.
-#[allow(clippy::too_many_arguments)]
-pub fn run_method_nested(
-    optimizer: &dyn Optimizer,
-    problem: &dyn SizingProblem,
-    inits: &[Vec<(Vec<f64>, Vec<f64>)>],
-    runs: usize,
-    budget: usize,
-    base_seed: u64,
-    run_engine: &EvalEngine,
-    engine: &EvalEngine,
-    journals: &[Journal],
-) -> MethodStats {
+    let engine = EvalEngine::serial();
     run_method_resumable(
         optimizer,
         problem,
@@ -383,19 +237,43 @@ pub fn run_method_nested(
         runs,
         budget,
         base_seed,
-        run_engine,
-        engine,
-        journals,
+        &engine,
+        &engine,
+        &[],
         &[],
     )
 }
 
-/// [`run_method_nested`] with crash-safe checkpointing: run `r` persists
-/// its state through `ckpts[r]` after every round and — when that
-/// checkpointer has resume enabled — continues from an existing snapshot.
-/// Runs beyond `ckpts.len()` (and all runs, when `ckpts` is empty) are
-/// un-checkpointed. Per-run results and journals are bitwise identical
-/// (non-timing fields) to an un-checkpointed, uninterrupted run.
+/// Runs `runs` independent repetitions of one optimizer with hierarchical
+/// job budgeting, per-run journals and crash-safe checkpointing.
+///
+/// Repetitions fan out over `run_engine`'s pool while each repetition's
+/// simulations and training lanes fan out over `engine`'s pool, so up to
+/// `run_engine.jobs() * engine.jobs()` simulations are in flight at once.
+/// Passing the same engine for both levels collapses to the single-pool
+/// behaviour (run-level fan-out with inline per-run simulation, since a
+/// pool never re-enters itself).
+///
+/// Run `r` streams its internals into `journals[r]` and persists its
+/// state through `ckpts[r]` after every round, continuing from an
+/// existing snapshot when that checkpointer has resume enabled. Runs
+/// beyond `journals.len()` get the disabled no-op journal, and runs
+/// beyond `ckpts.len()` are un-checkpointed; pass `&[]` for either to
+/// switch it off.
+///
+/// Run `r` is fully determined by `inits[r]` and the per-run seed stream
+/// `base_seed + r`, so per-run results — and every non-timing field of
+/// the per-run journals — are bitwise identical for any worker count at
+/// either level, with or without journals, and across an interrupted and
+/// resumed run. To keep that true for the journals' engine counter
+/// deltas, every run executes on a clone of `engine` carrying an
+/// *isolated* [`maopt_exec::Telemetry`] — fresh counters and metrics,
+/// but the same flight recorder when one is attached, so tracing never
+/// perturbs journal bytes — and a fresh [`SimCache`] when `engine` has
+/// one, at the cost of cross-run cache sharing. The per-run telemetry is
+/// merged back into `engine`'s sink after each run, so aggregate
+/// accounting is preserved; [`MethodStats::exec`] holds the engine
+/// counters accumulated by this method.
 ///
 /// # Panics
 ///
@@ -494,17 +372,19 @@ pub fn summarize(
     }
 }
 
-/// Pre-simulates one initial set per run (shared across methods).
+/// Pre-simulates one initial set per run (shared across methods) on a
+/// serial engine.
 pub fn make_initial_sets(
     problem: &dyn SizingProblem,
     runs: usize,
     init_size: usize,
     base_seed: u64,
 ) -> Vec<Vec<(Vec<f64>, Vec<f64>)>> {
-    make_initial_sets_with(problem, runs, init_size, base_seed, &EvalEngine::default())
+    make_initial_sets_with(problem, runs, init_size, base_seed, &EvalEngine::serial())
 }
 
-/// [`make_initial_sets`] running its simulations on the given engine.
+/// [`make_initial_sets`] running each set's simulations on the given
+/// engine, one set after another.
 pub fn make_initial_sets_with(
     problem: &dyn SizingProblem,
     runs: usize,
@@ -512,23 +392,21 @@ pub fn make_initial_sets_with(
     base_seed: u64,
     engine: &EvalEngine,
 ) -> Vec<Vec<(Vec<f64>, Vec<f64>)>> {
-    (0..runs)
-        .map(|r| {
-            sample_initial_set_with(
-                problem,
-                init_size,
-                base_seed.wrapping_add(1000 * r as u64),
-                engine,
-            )
-        })
-        .collect()
+    make_initial_sets_nested(
+        problem,
+        runs,
+        init_size,
+        base_seed,
+        &EvalEngine::serial(),
+        engine,
+    )
 }
 
 /// [`make_initial_sets_with`] fanning the per-run sets over `run_engine`'s
 /// pool while each set's simulations run on `engine` — the same
-/// hierarchical budgeting as [`run_method_nested`]. Set `r` draws from the
-/// serial seed stream `base_seed + 1000 * r` regardless of scheduling, so
-/// the result is bitwise identical to the serial loop.
+/// hierarchical budgeting as [`run_method_resumable`]. Set `r` draws from
+/// the serial seed stream `base_seed + 1000 * r` regardless of
+/// scheduling, so the result is bitwise identical to the serial loop.
 pub fn make_initial_sets_nested(
     problem: &dyn SizingProblem,
     runs: usize,
@@ -609,13 +487,43 @@ mod tests {
         let p = Sphere::new(2);
         let init = sample_initial_set(&p, 10, 9);
         let cfg = tiny(MaOptConfig::ma_opt2(999));
-        let a = cfg.optimize(&p, &init, 4, 1);
-        let b = cfg.optimize(&p, &init, 4, 1);
-        let c = cfg.optimize(&p, &init, 4, 2);
-        assert_eq!(a.best_fom(), b.best_fom());
-        // Different seeds usually explore differently; allow rare collision
-        // by checking trace-level difference instead of strict inequality.
-        let same = a.trace.best_fom_series(4) == c.trace.best_fom_series(4);
-        assert!(!same || a.best_fom() == c.best_fom());
+        let engine = EvalEngine::serial();
+        let overridden = cfg.optimize(&p, &init, 4, 1, &engine);
+        let direct = MaOpt::new(MaOptConfig {
+            seed: 1,
+            ..cfg.clone()
+        })
+        .run(&p, init.clone(), 4);
+        let own_seed = cfg.optimize(&p, &init, 4, 999, &engine);
+
+        let bits = |r: &RunResult| {
+            let entries: Vec<_> = r
+                .trace
+                .entries()
+                .iter()
+                .map(|e| (e.sim, e.kind, e.fom.to_bits(), e.best_fom.to_bits()))
+                .collect();
+            let pop: Vec<Vec<u64>> = (0..r.population.len())
+                .map(|i| {
+                    r.population
+                        .design(i)
+                        .iter()
+                        .chain(r.population.metrics(i))
+                        .map(|v| v.to_bits())
+                        .collect()
+                })
+                .collect();
+            (entries, pop)
+        };
+        assert_eq!(
+            bits(&overridden),
+            bits(&direct),
+            "the seed argument must replace the config's seed"
+        );
+        assert_ne!(
+            bits(&overridden),
+            bits(&own_seed),
+            "a run at the config's own seed must differ"
+        );
     }
 }

@@ -6,11 +6,11 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
+use maopt_core::chaos::{ChaosConfig, ChaoticProblem};
 use maopt_core::problems::{ConstrainedToy, Sphere};
 use maopt_core::runner::sample_initial_set;
-use maopt_core::{MaOpt, MaOptConfig, ParamSpec, RunCheckpointer, RunResult, SizingProblem, Spec};
-use maopt_exec::chaos::{ChaosConfig, ChaosProblem};
-use maopt_exec::{EvalEngine, Evaluate, FaultPolicy, SimCache};
+use maopt_core::{MaOpt, MaOptConfig, RunCheckpointer, RunResult, SizingProblem};
+use maopt_exec::{EvalEngine, FaultPolicy, SimCache};
 use maopt_obs::{Journal, Record};
 
 static DIR_SEQ: AtomicUsize = AtomicUsize::new(0);
@@ -81,12 +81,13 @@ fn reference_and_resumed(
     let ckpt_path = dir.join("run.ckpt");
 
     let journal = Journal::create(&ref_path).unwrap();
-    let reference = MaOpt::new(cfg.clone()).run_observed(
+    let reference = MaOpt::new(cfg.clone()).run_resumable(
         problems[0],
         init.clone(),
         budget,
         &mk_engine(),
         &journal,
+        None,
     );
     drop(journal);
 
@@ -173,12 +174,13 @@ fn torn_newest_generation_rolls_back_and_stays_byte_identical() {
 
     let ref_path = dir.join("reference.jsonl");
     let journal = Journal::create(&ref_path).unwrap();
-    let reference = MaOpt::new(cfg.clone()).run_observed(
+    let reference = MaOpt::new(cfg.clone()).run_resumable(
         &problem,
         init.clone(),
         budget,
         &EvalEngine::serial(),
         &journal,
+        None,
     );
     drop(journal);
 
@@ -267,61 +269,6 @@ fn resume_after_completion_rewrites_an_identical_run_end() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// A sizing problem whose evaluations fault on [`ChaosProblem`]'s seeded
-/// schedule — the core-level face of the exec chaos layer. Fresh instances
-/// share the schedule (a pure function of seed and design) but not the
-/// per-design attempt state, exactly like a restarted process.
-struct ChaoticSphere {
-    inner: Sphere,
-    chaos: ChaosProblem<SphereEval>,
-}
-
-impl ChaoticSphere {
-    fn new(dim: usize, chaos: ChaosConfig) -> Self {
-        ChaoticSphere {
-            inner: Sphere::new(dim),
-            chaos: ChaosProblem::new(SphereEval(Sphere::new(dim)), chaos),
-        }
-    }
-}
-
-/// Newtype bridging [`Sphere`] to the engine's [`Evaluate`] trait (both are
-/// foreign to this test crate, so the impl needs a local type).
-struct SphereEval(Sphere);
-
-impl Evaluate for SphereEval {
-    fn evaluate(&self, x: &[f64]) -> Vec<f64> {
-        SizingProblem::evaluate(&self.0, x)
-    }
-    fn num_metrics(&self) -> usize {
-        SizingProblem::num_metrics(&self.0)
-    }
-    fn failure_metrics(&self) -> Vec<f64> {
-        SizingProblem::failure_metrics(&self.0)
-    }
-    fn is_failure(&self, metrics: &[f64]) -> bool {
-        SizingProblem::is_failure(&self.0, metrics)
-    }
-}
-
-impl SizingProblem for ChaoticSphere {
-    fn name(&self) -> &str {
-        self.inner.name()
-    }
-    fn params(&self) -> &[ParamSpec] {
-        self.inner.params()
-    }
-    fn metric_names(&self) -> Vec<String> {
-        self.inner.metric_names()
-    }
-    fn specs(&self) -> &[Spec] {
-        self.inner.specs()
-    }
-    fn evaluate(&self, x: &[f64]) -> Vec<f64> {
-        Evaluate::evaluate(&self.chaos, x)
-    }
-}
-
 #[test]
 fn resumed_run_is_byte_identical_under_fault_injection() {
     let dir = tmp_dir("chaos");
@@ -337,11 +284,11 @@ fn resumed_run_is_byte_identical_under_fault_injection() {
     // empty attempt state, like a restarted process. The restored SimCache
     // keeps already-simulated designs from re-entering the injector, which
     // is what makes the fault counters line up.
-    let p_ref = ChaoticSphere::new(3, chaos_cfg);
-    let p_halt = ChaoticSphere::new(3, chaos_cfg);
-    let p_res = ChaoticSphere::new(3, chaos_cfg);
+    let p_ref = ChaoticProblem::new(Sphere::new(3), chaos_cfg);
+    let p_halt = ChaoticProblem::new(Sphere::new(3), chaos_cfg);
+    let p_res = ChaoticProblem::new(Sphere::new(3), chaos_cfg);
     let cfg = small(MaOptConfig::ma_opt2(21));
-    let init = sample_initial_set(&p_ref.inner, 12, 21);
+    let init = sample_initial_set(p_ref.inner(), 12, 21);
     let mk_engine = || {
         EvalEngine::new(2)
             .with_cache(Arc::new(SimCache::new()))
@@ -365,7 +312,7 @@ fn resumed_run_is_byte_identical_under_fault_injection() {
     // The journals agree on the engine counters; sanity-check that chaos
     // actually injected something and nothing exhausted its retry budget.
     let end = run_end(&dir.join("reference.jsonl"));
-    let ref_stats = p_ref.chaos.stats();
+    let ref_stats = p_ref.stats();
     assert!(ref_stats.total() > 0, "chaos must have injected faults");
     assert_eq!(end.engine.panics, ref_stats.panics);
     assert_eq!(end.engine.non_finite, ref_stats.non_finite);
@@ -374,7 +321,7 @@ fn resumed_run_is_byte_identical_under_fault_injection() {
     assert_eq!(end.engine.failures, 0, "faults_per_design is within budget");
 
     // The split runs inject the same schedule between them.
-    let split = p_halt.chaos.stats().total() + p_res.chaos.stats().total();
+    let split = p_halt.stats().total() + p_res.stats().total();
     assert_eq!(split, ref_stats.total());
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -9,7 +9,8 @@ use std::time::Duration;
 
 use maopt_core::problems::{ConstrainedToy, Sphere};
 use maopt_core::runner::{
-    make_initial_sets, run_method, run_method_with, sample_initial_set, sample_initial_set_with,
+    make_initial_sets, run_method, run_method_resumable, sample_initial_set,
+    sample_initial_set_with,
 };
 use maopt_core::{
     EngineProblem, FomConfig, MaOptConfig, NearSampler, ParamSpec, SizingProblem, Spec,
@@ -112,7 +113,19 @@ fn run_method_parallel_matches_serial_bitwise() {
     let cfg = tiny(MaOptConfig::ma_opt(0));
 
     let serial = run_method(&cfg, &p, &inits, runs, budget, 100);
-    let parallel = run_method_with(&cfg, &p, &inits, runs, budget, 100, &EvalEngine::new(4));
+    let engine = EvalEngine::new(4);
+    let parallel = run_method_resumable(
+        &cfg,
+        &p,
+        &inits,
+        runs,
+        budget,
+        100,
+        &engine,
+        &engine,
+        &[],
+        &[],
+    );
 
     assert_stats_identical(&serial, &parallel, budget);
     assert_eq!(
@@ -123,7 +136,7 @@ fn run_method_parallel_matches_serial_bitwise() {
 }
 
 #[test]
-fn run_method_with_cache_is_transparent() {
+fn run_method_cache_is_transparent() {
     let p = Sphere::new(3);
     let (runs, budget) = (2, 6);
     let inits = make_initial_sets(&p, runs, 10, 2);
@@ -131,7 +144,18 @@ fn run_method_with_cache_is_transparent() {
 
     let plain = run_method(&cfg, &p, &inits, runs, budget, 50);
     let engine = EvalEngine::new(3).with_cache(Arc::new(SimCache::new()));
-    let cached = run_method_with(&cfg, &p, &inits, runs, budget, 50, &engine);
+    let cached = run_method_resumable(
+        &cfg,
+        &p,
+        &inits,
+        runs,
+        budget,
+        50,
+        &engine,
+        &engine,
+        &[],
+        &[],
+    );
 
     assert_stats_identical(&plain, &cached, budget);
     let exec = &cached.exec;
@@ -276,7 +300,8 @@ fn telemetry_spans_cover_engine_phases() {
     let p = Sphere::new(2);
     let inits = make_initial_sets(&p, 1, 8, 3);
     let engine = EvalEngine::new(2).with_telemetry(Arc::new(Telemetry::new()));
-    let _ = run_method_with(&tiny(MaOptConfig::ma_opt2(0)), &p, &inits, 1, 4, 9, &engine);
+    let cfg = tiny(MaOptConfig::ma_opt2(0));
+    let _ = run_method_resumable(&cfg, &p, &inits, 1, 4, 9, &engine, &engine, &[], &[]);
     let spans = engine.telemetry().spans();
     let names: Vec<&str> = spans.iter().map(|(n, _)| n.as_str()).collect();
     assert!(names.contains(&"actor_training"), "{names:?}");

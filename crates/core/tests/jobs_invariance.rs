@@ -12,7 +12,7 @@ use std::sync::Arc;
 
 use maopt_core::problem::{ParamSpec, SizingProblem, Spec};
 use maopt_core::problems::ConstrainedToy;
-use maopt_core::runner::{make_initial_sets_nested, run_method_nested, MethodStats};
+use maopt_core::runner::{make_initial_sets_nested, run_method_resumable, MethodStats};
 use maopt_core::{MaOptConfig, OpState};
 use maopt_exec::{EvalEngine, SimCache, Telemetry};
 use maopt_obs::{read_journal, Journal, Record};
@@ -121,7 +121,7 @@ fn run_protocol_on(
         .map(|r| Journal::create(dir.join(format!("run{r}.jsonl"))).unwrap())
         .collect();
     let opt = tiny(MaOptConfig::ma_opt(SEED));
-    let stats = run_method_nested(
+    let stats = run_method_resumable(
         &opt,
         problem,
         &inits,
@@ -131,6 +131,7 @@ fn run_protocol_on(
         &run_engine,
         &engine,
         &journals,
+        &[],
     );
     drop(journals);
 

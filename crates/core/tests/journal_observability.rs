@@ -5,9 +5,7 @@
 use std::sync::Arc;
 
 use maopt_core::problems::ConstrainedToy;
-use maopt_core::runner::{
-    make_initial_sets, run_method_observed, run_method_resumable, sample_initial_set,
-};
+use maopt_core::runner::{make_initial_sets, run_method, run_method_resumable, sample_initial_set};
 use maopt_core::{MaOpt, MaOptConfig};
 use maopt_exec::{EvalEngine, Telemetry, TraceRecorder};
 use maopt_obs::{read_journal, Journal, Record};
@@ -36,9 +34,9 @@ fn journaled_run_is_bitwise_identical_to_plain_run() {
 
     let path = tmp_dir("identity.jsonl");
     let journal = Journal::create(&path).unwrap();
-    let observed = opt.run_observed(&problem, init.clone(), 20, &engine, &journal);
+    let observed = opt.run_resumable(&problem, init.clone(), 20, &engine, &journal, None);
     drop(journal);
-    let plain = opt.run_with(&problem, init, 20, &engine);
+    let plain = opt.run_resumable(&problem, init, 20, &engine, &Journal::disabled(), None);
 
     assert_eq!(
         observed.trace.best_fom_series(20),
@@ -58,7 +56,7 @@ fn journal_from_real_run_is_schema_valid_and_complete() {
 
     let path = tmp_dir("complete.jsonl");
     let journal = Journal::create(&path).unwrap();
-    let result = opt.run_observed(&problem, init, 24, &engine, &journal);
+    let result = opt.run_resumable(&problem, init, 24, &engine, &journal, None);
     drop(journal);
 
     let records = read_journal(&path).unwrap();
@@ -114,7 +112,7 @@ fn journal_from_real_run_is_schema_valid_and_complete() {
 }
 
 #[test]
-fn run_method_observed_writes_one_journal_per_run_and_matches_plain() {
+fn run_method_writes_one_journal_per_run_and_matches_plain() {
     let problem = ConstrainedToy::new(2);
     let inits = make_initial_sets(&problem, 2, 15, 41);
     let opt = tiny(MaOptConfig::ma_opt2(41));
@@ -124,9 +122,20 @@ fn run_method_observed_writes_one_journal_per_run_and_matches_plain() {
     let journals: Vec<Journal> = (0..2)
         .map(|r| Journal::create(dir.join(format!("run{r}.jsonl"))).unwrap())
         .collect();
-    let observed = run_method_observed(&opt, &problem, &inits, 2, 8, 500, &engine, &journals);
+    let observed = run_method_resumable(
+        &opt,
+        &problem,
+        &inits,
+        2,
+        8,
+        500,
+        &engine,
+        &engine,
+        &journals,
+        &[],
+    );
     drop(journals);
-    let plain = maopt_core::runner::run_method_with(&opt, &problem, &inits, 2, 8, 500, &engine);
+    let plain = run_method(&opt, &problem, &inits, 2, 8, 500);
 
     assert_eq!(observed.fom_curve, plain.fom_curve);
     for r in 0..2 {

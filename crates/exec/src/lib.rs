@@ -23,7 +23,6 @@
 //! consuming `SizingProblem`; core provides the adapter.
 
 pub mod cache;
-pub mod chaos;
 pub mod metrics;
 pub mod pool;
 pub mod prom;
@@ -32,7 +31,6 @@ pub mod telemetry;
 pub mod trace;
 
 pub use cache::{design_hash, quantize, SimCache};
-pub use chaos::{ChaosConfig, ChaosProblem, ChaosStats};
 pub use metrics::{
     ambient_metrics, set_ambient_metrics, AmbientMetricsGuard, HistogramSnapshot, MetricSnapshot,
     MetricsRegistry,

@@ -9,6 +9,7 @@
 use ma_opt::bo::BoOptimizer;
 use ma_opt::core::runner::{sample_initial_set, Optimizer};
 use ma_opt::core::{MaOptConfig, ParamSpec, SizingProblem, Spec};
+use ma_opt::exec::EvalEngine;
 
 /// Design a second-order RC low-pass: choose R1, C1, R2, C2 to hit a
 /// −3 dB corner near 10 kHz while minimizing total capacitor area
@@ -67,6 +68,7 @@ fn main() {
     let problem = RcFilterDesign::new();
     let init = sample_initial_set(&problem, 30, 11);
     let budget = 60;
+    let engine = EvalEngine::default();
 
     let methods: Vec<Box<dyn Optimizer>> = vec![
         Box::new(BoOptimizer::new()),
@@ -80,7 +82,7 @@ fn main() {
     );
     println!("{}", "-".repeat(52));
     for method in methods {
-        let result = method.optimize(&problem, &init, budget, 11);
+        let result = method.optimize(&problem, &init, budget, 11, &engine);
         let area = result
             .best_feasible_target()
             .map(|a| format!("{:.2}", a * 1e12))

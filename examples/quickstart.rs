@@ -8,8 +8,9 @@
 //! ```
 
 use ma_opt::circuits::TwoStageOta;
-use ma_opt::core::runner::sample_initial_set;
-use ma_opt::core::{MaOpt, MaOptConfig, SizingProblem};
+use ma_opt::core::runner::{sample_initial_set, Optimizer};
+use ma_opt::core::{MaOptConfig, SizingProblem};
+use ma_opt::exec::EvalEngine;
 
 fn main() {
     // 1. The sizing problem: 16 parameters, Eq. 7 specs, minimize power.
@@ -25,9 +26,11 @@ fn main() {
     let init = sample_initial_set(&problem, 40, 7);
     println!("simulated {} initial designs", init.len());
 
-    // 3. Run MA-Opt: 3 actors, shared elite set, near-sampling.
-    let optimizer = MaOpt::new(MaOptConfig::ma_opt(7));
-    let result = optimizer.run(&problem, init, 60);
+    // 3. Run MA-Opt: 3 actors, shared elite set, near-sampling. Actor
+    //    training and simulations fan out over one worker per core
+    //    (`MAOPT_JOBS` overrides the count); any count gives the same result.
+    let engine = EvalEngine::default();
+    let result = MaOptConfig::ma_opt(7).optimize(&problem, &init, 60, 7, &engine);
 
     // 4. Report.
     println!(

@@ -15,6 +15,12 @@
 //!
 //! # Example
 //!
+//! Every optimizer run has a convenience call that runs serially
+//! ([`core::MaOpt::run`], [`core::runner::run_method`]) and a full call
+//! that takes the evaluation engine, a run journal and a checkpointer
+//! ([`core::MaOpt::run_resumable`], [`core::runner::run_method_resumable`]);
+//! both give bitwise-identical results.
+//!
 //! ```
 //! use ma_opt::core::problems::Sphere;
 //! use ma_opt::core::runner::sample_initial_set;
