@@ -12,6 +12,7 @@ use std::hint::black_box;
 use maopt_bo::GaussianProcess;
 use maopt_core::problems::ConstrainedToy;
 use maopt_core::{Actor, Critic, FomConfig, NearSampler, Population, SizingProblem};
+use maopt_exec::EvalEngine;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -42,14 +43,16 @@ fn ablation_round_cost(c: &mut Criterion) {
 
     group.bench_function("near_sampling_2000", |b| {
         let ns = NearSampler::new(2000, 0.05);
+        let serial = EvalEngine::serial();
         let x_opt = pop.design(pop.best().unwrap()).to_vec();
         b.iter(|| {
-            black_box(ns.propose(
+            black_box(ns.propose_scored_with(
                 &critic,
                 &x_opt,
                 problem.specs(),
                 FomConfig::default(),
                 &mut rng,
+                &serial,
             ))
         })
     });
@@ -164,13 +167,15 @@ fn ablation_near_sampling(c: &mut Criterion) {
     for n in [500usize, 2000, 8000] {
         group.bench_with_input(BenchmarkId::new("n_samples", n), &n, |b, &n| {
             let ns = NearSampler::new(n, 0.05);
+            let serial = EvalEngine::serial();
             b.iter(|| {
-                black_box(ns.propose(
+                black_box(ns.propose_scored_with(
                     &critic,
                     &x_opt,
                     problem.specs(),
                     FomConfig::default(),
                     &mut rng,
+                    &serial,
                 ))
             })
         });

@@ -1,6 +1,6 @@
 //! Classic simulation-based baselines from the paper's related work:
-//! particle swarm optimization (ref. [7]), differential evolution
-//! (ref. [8]) and plain random search. All three implement
+//! particle swarm optimization (ref. \[7\]), differential evolution
+//! (ref. \[8\]) and plain random search. All three implement
 //! [`crate::runner::Optimizer`], so they slot into the experiment harness
 //! next to BO and the RL-inspired methods. They simulate serially on the
 //! calling thread and ignore the engine they are handed.

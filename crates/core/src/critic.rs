@@ -27,33 +27,30 @@ pub struct PredictScratch {
 /// Anything that predicts raw metric vectors from `(x, Δx)` inputs — the
 /// single [`Critic`] and the [`CriticEnsemble`] both qualify, so the
 /// near-sampling method and proposal ranking work with either.
+///
+/// Every prediction runs the workspace pass ([`Mlp::forward_ws`]): a batch
+/// through [`Surrogate::predict_batch_raw_into`], a single `(x, Δx)` pair
+/// through [`Surrogate::predict_raw_with`]. Both are allocation-free once
+/// their buffers are warm.
 pub trait Surrogate {
     /// Design-space dimensionality `d`.
     fn dim(&self) -> usize;
     /// Output metric count `m + 1`.
     fn num_metrics(&self) -> usize;
-    /// Batch prediction: `inputs` is `[n × 2d]`, result is raw metrics.
-    fn predict_batch_raw(&self, inputs: &Mat) -> Mat;
-    /// [`Surrogate::predict_batch_raw`] writing into a caller-owned
-    /// buffer, routing the forward pass through `ws` where the
-    /// implementation supports it. The default delegates to the
-    /// allocating path; [`Critic`] overrides it with an allocation-free
-    /// pass. Results are bitwise identical either way.
-    fn predict_batch_raw_into(&self, inputs: &Mat, _ws: &mut Workspace, out: &mut Mat) {
-        out.copy_from(&self.predict_batch_raw(inputs));
-    }
-    /// Single prediction of the raw metric vector of `x + Δx`.
-    fn predict_raw(&self, x: &[f64], dx: &[f64]) -> Vec<f64> {
-        let mut input = Vec::with_capacity(2 * self.dim());
-        input.extend_from_slice(x);
-        input.extend_from_slice(dx);
-        let out = self.predict_batch_raw(&Mat::from_rows(&[&input]));
-        out.into_vec()
-    }
-    /// [`Surrogate::predict_raw`] through caller-owned [`PredictScratch`]
-    /// buffers — allocation-free once warm, for tight loops that predict
-    /// one `(x, Δx)` pair at a time. The returned slice borrows the
-    /// scratch and is valid until the next call.
+    /// Batch prediction: `inputs` is `[n × 2d]`; `out` receives the raw
+    /// (de-scaled) metrics `[n × (m+1)]`, resized in place. The forward
+    /// pass runs through `ws`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a scaler has not been fitted or `inputs` is not `2d`
+    /// columns wide.
+    fn predict_batch_raw_into(&self, inputs: &Mat, ws: &mut Workspace, out: &mut Mat);
+    /// Prediction of the raw metric vector of `x + Δx` through
+    /// caller-owned [`PredictScratch`] buffers — allocation-free once
+    /// warm, for tight loops that predict one `(x, Δx)` pair at a time.
+    /// The returned slice borrows the scratch and is valid until the next
+    /// call.
     fn predict_raw_with<'s>(
         &self,
         x: &[f64],
@@ -218,54 +215,19 @@ impl Critic {
         last
     }
 
-    /// Predicts the raw (de-scaled) metric vector of `x + Δx`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the scaler has not been fitted or input lengths are wrong.
-    pub fn predict_raw(&self, x: &[f64], dx: &[f64]) -> Vec<f64> {
-        assert_eq!(x.len(), self.dim, "state length mismatch");
-        assert_eq!(dx.len(), self.dim, "action length mismatch");
-        let mut input = Vec::with_capacity(2 * self.dim);
-        input.extend_from_slice(x);
-        input.extend_from_slice(dx);
-        let scaled = self.mlp.predict(&input);
-        self.scaler().inverse_row(&scaled)
-    }
-
-    /// Batch prediction: `inputs` is `[n × 2d]`, the result is raw metrics
-    /// `[n × (m+1)]`.
-    pub fn predict_batch_raw(&self, inputs: &Mat) -> Mat {
-        assert_eq!(inputs.cols(), 2 * self.dim, "batch input width mismatch");
-        let scaled = self.mlp.forward_inference(inputs);
-        self.scaler().inverse_transform(&scaled)
-    }
-
-    /// Forward pass in scaled space with caches retained, enabling a
-    /// subsequent [`Critic::input_gradient`] — used to train actors through
-    /// the (frozen) critic.
-    pub fn forward_scaled(&mut self, inputs: &Mat) -> Mat {
-        self.mlp.forward(inputs)
-    }
-
-    /// Gradient of a scalar loss with respect to the critic *inputs*, given
-    /// the loss gradient at the critic's scaled outputs. Critic parameters
-    /// are left untouched (frozen).
-    pub fn input_gradient(&mut self, grad_out_scaled: &Mat) -> Mat {
-        self.mlp.backward_input_only(grad_out_scaled)
-    }
-
-    /// [`Critic::forward_scaled`] through a caller-owned [`Workspace`]:
+    /// Forward pass in scaled space through a caller-owned [`Workspace`]:
     /// activations land in `ws` (the critic itself stays untouched) for a
-    /// subsequent [`Critic::input_gradient_ws`]. Allocation-free once the
-    /// workspace is warm; bitwise identical to the allocating path.
+    /// subsequent [`Critic::input_gradient_ws`] — used to train actors
+    /// through the (frozen) critic. Allocation-free once the workspace is
+    /// warm.
     pub fn forward_scaled_ws<'w>(&self, inputs: &Mat, ws: &'w mut Workspace) -> &'w Mat {
         self.mlp.forward_ws(inputs, ws)
     }
 
-    /// [`Critic::input_gradient`] over the activations of a preceding
-    /// [`Critic::forward_scaled_ws`] on the same workspace. Critic
-    /// parameters are left untouched (frozen).
+    /// Gradient of a scalar loss with respect to the critic *inputs*, given
+    /// the loss gradient at the critic's scaled outputs, over the
+    /// activations of a preceding [`Critic::forward_scaled_ws`] on the
+    /// same workspace. Critic parameters are left untouched (frozen).
     pub fn input_gradient_ws<'w>(
         &mut self,
         grad_out_scaled: &Mat,
@@ -282,10 +244,6 @@ impl Surrogate for Critic {
 
     fn num_metrics(&self) -> usize {
         self.num_metrics
-    }
-
-    fn predict_batch_raw(&self, inputs: &Mat) -> Mat {
-        Critic::predict_batch_raw(self, inputs)
     }
 
     fn predict_batch_raw_into(&self, inputs: &Mat, ws: &mut Workspace, out: &mut Mat) {
@@ -344,12 +302,6 @@ impl CriticEnsemble {
     /// Immutable access to a member.
     pub fn member(&self, i: usize) -> &Critic {
         &self.members[i % self.members.len()]
-    }
-
-    /// Mutable access to a member (actors train through one member each).
-    pub fn member_mut(&mut self, i: usize) -> &mut Critic {
-        let n = self.members.len();
-        &mut self.members[i % n]
     }
 
     /// Total trainable parameter count — the memory cost the paper cites.
@@ -420,13 +372,23 @@ impl Surrogate for CriticEnsemble {
         self.members[0].num_metrics()
     }
 
-    fn predict_batch_raw(&self, inputs: &Mat) -> Mat {
-        let mut acc = self.members[0].predict_batch_raw(inputs);
-        for m in &self.members[1..] {
-            acc.axpy_mut(1.0, &m.predict_batch_raw(inputs));
+    /// The member mean: `out` holds member 0's prediction, every further
+    /// member is added element by element straight out of the shared
+    /// workspace (`out + 1.0·p`, the arithmetic of `axpy(1.0)`), then the
+    /// sum is scaled by `1/n`.
+    fn predict_batch_raw_into(&self, inputs: &Mat, ws: &mut Workspace, out: &mut Mat) {
+        let (first, rest) = self.members.split_first().expect("ensemble is non-empty");
+        first.predict_batch_raw_into(inputs, ws, out);
+        for m in rest {
+            let scaler = m.scaler();
+            let scaled = m.mlp.forward_ws(inputs, ws);
+            for i in 0..out.rows() {
+                for (j, acc) in out.row_mut(i).iter_mut().enumerate() {
+                    *acc += 1.0 * scaler.inverse_value(scaled[(i, j)], j);
+                }
+            }
         }
-        acc.scale_mut(1.0 / self.members.len() as f64);
-        acc
+        out.scale_mut(1.0 / self.members.len() as f64);
     }
 }
 
@@ -436,6 +398,21 @@ mod tests {
     use crate::fom::FomConfig;
     use crate::problem::Spec;
     use rand::SeedableRng;
+
+    fn predict(c: &impl Surrogate, x: &[f64], dx: &[f64]) -> Vec<f64> {
+        c.predict_raw_with(x, dx, &mut PredictScratch::default())
+            .to_vec()
+    }
+
+    fn predict_batch(c: &impl Surrogate, inputs: &Mat) -> Mat {
+        let mut out = Mat::default();
+        c.predict_batch_raw_into(inputs, &mut Workspace::new(), &mut out);
+        out
+    }
+
+    fn scaled_output(c: &Critic, inputs: &Mat) -> Mat {
+        c.forward_scaled_ws(inputs, &mut Workspace::new()).clone()
+    }
 
     /// A tiny analytic "simulator": metrics = [Σx², 10·x₀].
     fn make_population(n: usize) -> Population {
@@ -487,7 +464,7 @@ mod tests {
         let x = [0.2, 0.3];
         let dst = [0.5, 0.4];
         let dx = [dst[0] - x[0], dst[1] - x[1]];
-        let pred = c.predict_raw(&x, &dx);
+        let pred = predict(&c, &x, &dx);
         let truth = [dst[0] * dst[0] + dst[1] * dst[1], 10.0 * dst[0]];
         assert!(
             (pred[0] - truth[0]).abs() < 0.15,
@@ -512,9 +489,9 @@ mod tests {
         c.train(&pop, 50, 16, &mut rng);
         let x = [0.1, 0.9];
         let dx = [0.3, -0.2];
-        let single = c.predict_raw(&x, &dx);
+        let single = predict(&c, &x, &dx);
         let batch = Mat::from_rows(&[&[0.1, 0.9, 0.3, -0.2]]);
-        let out = c.predict_batch_raw(&batch);
+        let out = predict_batch(&c, &batch);
         assert!((single[0] - out[(0, 0)]).abs() < 1e-12);
         assert!((single[1] - out[(0, 1)]).abs() < 1e-12);
     }
@@ -526,28 +503,42 @@ mod tests {
         c.refit_scaler(&pop);
         let mut rng = StdRng::seed_from_u64(6);
         c.train(&pop, 50, 16, &mut rng);
+        // The allocating single-row convenience: `Mlp::predict`, then the
+        // scaler's per-value inverse.
+        let alloc = |c: &Critic, x: &[f64], dx: &[f64]| -> Vec<f64> {
+            let scaled = c.mlp.predict(&[x, dx].concat());
+            let scaler = c.scaler();
+            scaled
+                .iter()
+                .enumerate()
+                .map(|(j, &v)| scaler.inverse_value(v, j))
+                .collect()
+        };
         let mut scratch = PredictScratch::default();
         for (x, dx) in [([0.1, 0.9], [0.3, -0.2]), ([0.7, 0.2], [0.0, 0.05])] {
-            let alloc = Surrogate::predict_raw(&c, &x, &dx);
-            assert_eq!(alloc, c.predict_raw_with(&x, &dx, &mut scratch).to_vec());
+            assert_eq!(
+                alloc(&c, &x, &dx),
+                c.predict_raw_with(&x, &dx, &mut scratch).to_vec()
+            );
         }
-        // The ensemble relies on the default batch-into path — identical too.
+        // The ensemble mean through the same scratch: member sum, then 1/n.
         let mut ens = CriticEnsemble::new(2, 2, 2, &[16], 1e-3, 7);
         ens.refit_scaler(&pop);
         ens.train(&pop, 20, 16, &mut rng);
-        let alloc = Surrogate::predict_raw(&ens, &[0.4, 0.5], &[0.1, 0.1]);
-        assert_eq!(
-            alloc,
-            ens.predict_raw_with(&[0.4, 0.5], &[0.1, 0.1], &mut scratch)
-                .to_vec()
-        );
+        let (x, dx) = ([0.4, 0.5], [0.1, 0.1]);
+        let mut mean = alloc(ens.member(0), &x, &dx);
+        for (acc, p) in mean.iter_mut().zip(alloc(ens.member(1), &x, &dx)) {
+            *acc += 1.0 * p;
+            *acc *= 0.5;
+        }
+        assert_eq!(mean, ens.predict_raw_with(&x, &dx, &mut scratch).to_vec());
     }
 
     #[test]
     #[should_panic(expected = "scaler not fitted")]
     fn predict_before_fit_panics() {
         let c = Critic::new(2, 2, &[8], 1e-3, 0);
-        let _ = c.predict_raw(&[0.0, 0.0], &[0.0, 0.0]);
+        let _ = predict(&c, &[0.0, 0.0], &[0.0, 0.0]);
     }
 
     #[test]
@@ -563,10 +554,7 @@ mod tests {
         ens.train(&pop, 40, 16, &mut r2);
         let x = [0.3, 0.4];
         let dx = [0.1, -0.1];
-        assert_eq!(
-            single.predict_raw(&x, &dx),
-            Surrogate::predict_raw(&ens, &x, &dx)
-        );
+        assert_eq!(predict(&single, &x, &dx), predict(&ens, &x, &dx));
     }
 
     #[test]
@@ -577,10 +565,10 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(10);
         ens.train(&pop, 30, 16, &mut rng);
         let input = Mat::from_rows(&[&[0.2, 0.6, 0.05, 0.1]]);
-        let mean = ens.predict_batch_raw(&input);
+        let mean = predict_batch(&ens, &input);
         let mut acc = [0.0; 2];
         for i in 0..3 {
-            let p = ens.member(i).predict_batch_raw(&input);
+            let p = predict_batch(ens.member(i), &input);
             acc[0] += p[(0, 0)];
             acc[1] += p[(0, 1)];
         }
@@ -592,8 +580,8 @@ mod tests {
     fn ensemble_members_are_decorrelated() {
         let ens = CriticEnsemble::new(3, 2, 2, &[16], 1e-3, 11);
         let input = Mat::from_rows(&[&[0.2, 0.6, 0.05, 0.1]]);
-        let a = ens.member(0).mlp.forward_inference(&input);
-        let b = ens.member(1).mlp.forward_inference(&input);
+        let a = scaled_output(ens.member(0), &input);
+        let b = scaled_output(ens.member(1), &input);
         assert_ne!(a, b, "members must be independently initialized");
         assert_eq!(ens.param_count(), 3 * ens.member(0).mlp.param_count());
     }
@@ -614,12 +602,12 @@ mod tests {
 
         // Scalar loss L = sum of scaled outputs; dL/dout = 1.
         let input = Mat::from_rows(&[&[0.4, 0.6, 0.1, -0.1]]);
-        let out = c.forward_scaled(&input);
+        let mut ws = Workspace::new();
+        let out = c.forward_scaled_ws(&input, &mut ws);
         let ones = Mat::filled(out.rows(), out.cols(), 1.0);
-        let gi = c.input_gradient(&ones);
+        let gi = c.input_gradient_ws(&ones, &mut ws).clone();
 
-        let loss =
-            |c: &Critic, inp: &Mat| -> f64 { c.mlp.forward_inference(inp).as_slice().iter().sum() };
+        let loss = |c: &Critic, inp: &Mat| -> f64 { scaled_output(c, inp).as_slice().iter().sum() };
         let h = 1e-6;
         for j in 0..4 {
             let mut ip = input.clone();

@@ -14,11 +14,16 @@ use crate::critic::Surrogate;
 use crate::fom::{fom, FomConfig};
 use crate::problem::Spec;
 
+/// Most candidate rows one surrogate call scores. Rows are independent,
+/// so the block size changes no result; it bounds the activations each
+/// worker's scratch keeps resident between proposals.
+const SCORE_BLOCK: usize = 128;
+
 thread_local! {
     /// Per-worker scoring scratch: the chunk's input slice, the surrogate
     /// forward workspace, and the prediction buffer. Thread-local so every
     /// engine worker reuses its own buffers across chunks and across
-    /// `propose` calls instead of allocating per chunk.
+    /// proposals instead of allocating per chunk.
     static SCORE_SCRATCH: RefCell<(Mat, Workspace, Mat)> = RefCell::new(Default::default());
 }
 
@@ -45,45 +50,20 @@ impl NearSampler {
 
     /// Proposes the candidate with the best critic-predicted FoM among
     /// `n_samples` uniform draws from `[x_opt − δ, x_opt + δ] ∩ [0,1]^d`
-    /// (Algorithm 2, lines 2–7).
+    /// (Algorithm 2, lines 2–7), and returns it with its predicted FoM —
+    /// the prediction side of the run journal's predicted-vs-simulated
+    /// fidelity signal.
     ///
     /// The returned design still needs a real simulation; the caller accepts
     /// it only if the simulated FoM beats the incumbent (lines 8–11).
-    pub fn propose<S: Surrogate + Sync>(
-        &self,
-        critic: &S,
-        x_opt: &[f64],
-        specs: &[Spec],
-        fom_cfg: FomConfig,
-        rng: &mut StdRng,
-    ) -> Vec<f64> {
-        self.propose_with(critic, x_opt, specs, fom_cfg, rng, &EvalEngine::serial())
-    }
-
-    /// [`NearSampler::propose`] with the candidate ranking split into
-    /// per-worker batches on the given engine.
     ///
+    /// The candidate ranking is split into blocks of at most
+    /// `SCORE_BLOCK` rows spread over `engine`'s workers (pass
+    /// [`EvalEngine::serial`] to rank on the calling thread).
     /// Candidates come from a serial RNG stream and the critic's MLP
     /// computes each input row independently, so a chunked prediction is
     /// bitwise identical to the full batch: the proposal does not depend on
     /// the worker count.
-    pub fn propose_with<S: Surrogate + Sync>(
-        &self,
-        critic: &S,
-        x_opt: &[f64],
-        specs: &[Spec],
-        fom_cfg: FomConfig,
-        rng: &mut StdRng,
-        engine: &EvalEngine,
-    ) -> Vec<f64> {
-        self.propose_scored_with(critic, x_opt, specs, fom_cfg, rng, engine)
-            .0
-    }
-
-    /// [`NearSampler::propose_with`] that also returns the winning
-    /// candidate's critic-predicted FoM — the prediction side of the run
-    /// journal's predicted-vs-simulated fidelity signal. The proposal
-    /// itself is bitwise identical to [`NearSampler::propose_with`].
     pub fn propose_scored_with<S: Surrogate + Sync>(
         &self,
         critic: &S,
@@ -115,7 +95,7 @@ impl NearSampler {
         }
 
         let n = self.n_samples;
-        let chunk = n.div_ceil(engine.jobs()).max(1);
+        let chunk = n.div_ceil(engine.jobs()).clamp(1, SCORE_BLOCK);
         let ranges: Vec<(usize, usize)> = (0..n)
             .step_by(chunk)
             .map(|s| (s, (s + chunk).min(n)))
@@ -160,6 +140,18 @@ mod tests {
     use crate::problem::Spec;
     use rand::SeedableRng;
 
+    fn propose_serial(
+        ns: &NearSampler,
+        critic: &crate::Critic,
+        x_opt: &[f64],
+        specs: &[Spec],
+        rng: &mut StdRng,
+    ) -> Vec<f64> {
+        let engine = EvalEngine::serial();
+        ns.propose_scored_with(critic, x_opt, specs, FomConfig::default(), rng, &engine)
+            .0
+    }
+
     /// Critic trained on metrics = [(x₀+Δx₀−0.5)², 5] so the predicted-best
     /// near sample should move toward x₀ = 0.5.
     fn trained_critic() -> (crate::Critic, Vec<Spec>) {
@@ -188,7 +180,7 @@ mod tests {
         let ns = NearSampler::new(500, 0.1);
         let mut rng = StdRng::seed_from_u64(23);
         let x_opt = [0.95];
-        let prop = ns.propose(&critic, &x_opt, &specs, FomConfig::default(), &mut rng);
+        let prop = propose_serial(&ns, &critic, &x_opt, &specs, &mut rng);
         assert!(prop[0] <= 1.0, "clipped to the design box");
         assert!((prop[0] - x_opt[0]).abs() <= 0.1 + 1e-12, "within δ");
     }
@@ -199,7 +191,7 @@ mod tests {
         let ns = NearSampler::new(2000, 0.1);
         let mut rng = StdRng::seed_from_u64(24);
         let x_opt = [0.7];
-        let prop = ns.propose(&critic, &x_opt, &specs, FomConfig::default(), &mut rng);
+        let prop = propose_serial(&ns, &critic, &x_opt, &specs, &mut rng);
         // True optimum is at 0.5; the best sample in [0.6, 0.8] should sit
         // near the lower edge.
         assert!(
@@ -213,7 +205,7 @@ mod tests {
         let (critic, specs) = trained_critic();
         let ns = NearSampler::new(1, 0.05);
         let mut rng = StdRng::seed_from_u64(25);
-        let prop = ns.propose(&critic, &[0.5], &specs, FomConfig::default(), &mut rng);
+        let prop = propose_serial(&ns, &critic, &[0.5], &specs, &mut rng);
         assert_eq!(prop.len(), 1);
     }
 

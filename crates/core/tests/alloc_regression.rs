@@ -1,8 +1,10 @@
-//! Allocation-count regression gate for the critic training hot path.
+//! Allocation-count regression gate for the critic's hot paths: training
+//! and batch prediction.
 //!
 //! A counting global allocator wraps the system allocator; after a
 //! warm-up call sizes every reused buffer, further same-shaped critic
-//! training steps must perform **zero** heap allocations. This is the
+//! training steps and ensemble predictions must perform **zero** heap
+//! allocations. This is the
 //! enforcement side of the workspace/kernel layer — if someone
 //! reintroduces a per-step `clone` or a temporary `Mat`, this test
 //! fails with the allocation count instead of a silent slowdown.
@@ -17,7 +19,9 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use maopt_core::{Critic, FomConfig, Population, Spec};
+use maopt_core::{Critic, CriticEnsemble, FomConfig, Population, Spec, Surrogate};
+use maopt_linalg::Mat;
+use maopt_nn::Workspace;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -117,4 +121,38 @@ fn warmup_resizes_only_on_shape_change() {
     let before = allocation_count();
     critic.train(&pop, 10, 24, &mut rng);
     assert_eq!(allocation_count() - before, 0);
+}
+
+/// Near-sampling ranks its candidates through the ensemble `MaOpt` holds,
+/// so the ensemble's batch prediction must run the members' workspace
+/// pass rather than allocate per call.
+#[test]
+fn ensemble_batch_prediction_is_allocation_free_after_warmup() {
+    let pop = make_population(40);
+    let inputs = Mat::from_fn(64, 4, |i, j| ((i * 4 + j) % 17) as f64 / 17.0);
+    // n = 1 is the paper's configuration; n = 3 covers the member sum.
+    for n in [1, 3] {
+        let mut ens = CriticEnsemble::new(n, 2, 2, &[32, 32], 1e-3, 7);
+        ens.refit_scaler(&pop);
+        let mut rng = StdRng::seed_from_u64(8);
+        ens.train(&pop, 5, 16, &mut rng);
+
+        let mut ws = Workspace::new();
+        let mut out = Mat::default();
+        // Warm-up: sizes the workspace and the output buffer.
+        ens.predict_batch_raw_into(&inputs, &mut ws, &mut out);
+
+        let before = allocation_count();
+        for _ in 0..5 {
+            ens.predict_batch_raw_into(&inputs, &mut ws, &mut out);
+        }
+        let after = allocation_count();
+        assert_eq!(
+            after - before,
+            0,
+            "ensemble (n = {n}) batch predictions must not allocate after \
+             warm-up ({} allocations in 5 calls)",
+            after - before
+        );
+    }
 }

@@ -1,16 +1,17 @@
-//! Golden end-to-end determinism test: the workspace-based critic
-//! training loop must reproduce the seed (allocating) implementation's
-//! loss trace **bit-for-bit**.
+//! Golden end-to-end determinism test: the critic's buffer-reusing
+//! training loop must reproduce a fresh-buffer reference loop's loss
+//! trace **bit-for-bit**.
 //!
-//! The reference below is the pre-optimization training loop, spelled out
-//! over the public `maopt-nn` API exactly as `Critic::train_traced`
-//! originally composed it: `pseudo_batch` → `transform` → `forward` →
-//! `mse_loss_grad` → `zero_grad` → `backward` → `adam.step`. If any
-//! kernel, buffer-reuse path, or reduction order drifts, this test fails
-//! on the first diverging bit.
+//! The reference below is the training loop spelled out over the public
+//! `maopt-nn` API, with fresh buffers every step: `pseudo_batch` →
+//! `transform_into` → `forward_ws` → `mse_loss_grad_into` → `zero_grad` →
+//! `backward_ws` → `adam.step`. If any buffer-reuse path or the critic's
+//! composition of these steps drifts, this test fails on the first
+//! diverging bit.
 
-use maopt_core::{pseudo_batch, Critic, FomConfig, Population, Spec};
-use maopt_nn::{mse_loss_grad, Activation, Adam, MinMaxScaler, Mlp};
+use maopt_core::{pseudo_batch, Critic, FomConfig, Population, PredictScratch, Spec, Surrogate};
+use maopt_linalg::Mat;
+use maopt_nn::{mse_loss_grad_into, Activation, Adam, MinMaxScaler, Mlp, Workspace};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -47,7 +48,7 @@ fn optimized_critic_loss_trace_matches_seed_bitwise() {
     critic.train_traced(&pop, steps, batch, &mut rng, Some(&mut trace));
     assert_eq!(trace.len(), steps);
 
-    // Seed reference: the original allocating loop, same construction.
+    // Reference: the same construction, fresh buffers every step.
     let mut mlp = Mlp::new(&[4, 16, 16, 2], Activation::Relu, net_seed);
     let mut adam = Adam::new(&mlp, lr);
     let scaler = MinMaxScaler::fit(&pop.metric_matrix());
@@ -55,11 +56,13 @@ fn optimized_critic_loss_trace_matches_seed_bitwise() {
     let mut ref_trace = Vec::new();
     for _ in 0..steps {
         let (inputs, targets_raw) = pseudo_batch(&pop, batch, &mut rng_ref);
-        let targets = scaler.transform(&targets_raw);
-        let pred = mlp.forward(&inputs);
-        let (loss, grad) = mse_loss_grad(&pred, &targets);
+        let mut targets = Mat::default();
+        scaler.transform_into(&targets_raw, &mut targets);
+        let mut ws = Workspace::new();
+        let mut grad = Mat::default();
+        let loss = mse_loss_grad_into(mlp.forward_ws(&inputs, &mut ws), &targets, &mut grad);
         mlp.zero_grad();
-        mlp.backward(&grad);
+        mlp.backward_ws(&grad, &mut ws, true);
         adam.step(&mut mlp);
         ref_trace.push(loss);
     }
@@ -75,8 +78,14 @@ fn optimized_critic_loss_trace_matches_seed_bitwise() {
     // The trained networks themselves must agree: compare a prediction.
     let x = [0.2, 0.7];
     let dx = [0.3, -0.4];
-    let opt_pred = critic.predict_raw(&x, &dx);
-    let ref_pred = scaler.inverse_row(&mlp.predict(&[x[0], x[1], dx[0], dx[1]]));
+    let mut scratch = PredictScratch::default();
+    let opt_pred = critic.predict_raw_with(&x, &dx, &mut scratch);
+    let ref_pred: Vec<f64> = mlp
+        .predict(&[x[0], x[1], dx[0], dx[1]])
+        .iter()
+        .enumerate()
+        .map(|(j, &v)| scaler.inverse_value(v, j))
+        .collect();
     for (a, b) in opt_pred.iter().zip(&ref_pred) {
         assert_eq!(a.to_bits(), b.to_bits(), "trained predictions diverge");
     }

@@ -1,11 +1,8 @@
 //! Telemetry for the evaluation engine: monotonic counters, per-phase
-//! wall-time spans and an optional JSONL event log.
+//! wall-time spans, named metrics and an optional flight recorder.
 
 use std::collections::BTreeMap;
 use std::fmt;
-use std::fs::File;
-use std::io::{BufWriter, Write};
-use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
@@ -143,16 +140,14 @@ pub struct Telemetry {
     /// ([`crate::metrics::set_ambient_metrics`]) around each evaluation.
     pub metrics: Arc<crate::metrics::MetricsRegistry>,
     spans: Mutex<BTreeMap<String, SpanTotal>>,
-    events: Option<Mutex<BufWriter<File>>>,
     tracer: Option<Arc<crate::trace::TraceRecorder>>,
-    origin: Instant,
 }
 
 impl fmt::Debug for Telemetry {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Telemetry")
             .field("counters", &self.counters)
-            .field("jsonl", &self.events.is_some())
+            .field("traced", &self.tracer.is_some())
             .finish()
     }
 }
@@ -163,40 +158,15 @@ impl Default for Telemetry {
             counters: Counters::default(),
             metrics: Arc::new(crate::metrics::MetricsRegistry::new()),
             spans: Mutex::new(BTreeMap::new()),
-            events: None,
             tracer: None,
-            origin: Instant::now(),
         }
     }
 }
 
-impl Drop for Telemetry {
-    fn drop(&mut self) {
-        self.flush();
-    }
-}
-
 impl Telemetry {
-    /// Telemetry with no event log.
+    /// Telemetry with no flight recorder.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Telemetry writing one JSON object per line to `path`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates file-creation errors.
-    pub fn with_jsonl(path: &Path) -> std::io::Result<Self> {
-        let file = File::create(path)?;
-        Ok(Telemetry {
-            counters: Counters::default(),
-            metrics: Arc::new(crate::metrics::MetricsRegistry::new()),
-            spans: Mutex::new(BTreeMap::new()),
-            events: Some(Mutex::new(BufWriter::new(file))),
-            tracer: None,
-            origin: Instant::now(),
-        })
     }
 
     /// Attaches a flight recorder: every span this telemetry records
@@ -351,42 +321,9 @@ impl Telemetry {
         }
         self.metrics.merge_from(&other.metrics);
     }
-
-    /// Emits a JSONL event (no-op without an event log). `fields` are
-    /// appended as pre-rendered JSON values — use [`json_string`] /
-    /// [`json_f64`] to render them.
-    ///
-    /// Lines are buffered, not flushed: flushing happens in the `Drop`
-    /// impl (or an explicit [`Telemetry::flush`]), keeping JSONL logging
-    /// off the evaluation hot path.
-    pub fn event(&self, kind: &str, fields: &[(&str, String)]) {
-        let Some(events) = &self.events else { return };
-        let mut line = format!(
-            "{{\"event\":{},\"t_ms\":{}",
-            json_string(kind),
-            self.origin.elapsed().as_millis()
-        );
-        for (key, value) in fields {
-            line.push_str(&format!(",{}:{}", json_string(key), value));
-        }
-        line.push_str("}\n");
-        let mut w = events.lock().unwrap_or_else(PoisonError::into_inner);
-        let _ = w.write_all(line.as_bytes());
-    }
-
-    /// Flushes the buffered JSONL event log (no-op without one). Also
-    /// called on drop, where a poisoned lock is tolerated rather than
-    /// double-panicking.
-    pub fn flush(&self) {
-        if let Some(events) = &self.events {
-            if let Ok(mut w) = events.lock() {
-                let _ = w.flush();
-            }
-        }
-    }
 }
 
-/// Minimal JSON string escaping for event keys/values.
+/// Minimal JSON string escaping, for the trace writer's names and labels.
 pub fn json_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
@@ -478,27 +415,6 @@ mod tests {
         assert_eq!(delta.sims, 1);
         assert_eq!(delta.cache_hits, 1);
         assert_eq!(format!("{delta}"), "sims 1 cache 1/1 retries 0 faults 0");
-    }
-
-    #[test]
-    fn jsonl_events_are_valid_lines() {
-        let dir = std::env::temp_dir().join("maopt_exec_telemetry_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("events.jsonl");
-        let t = Telemetry::with_jsonl(&path).unwrap();
-        t.event(
-            "eval",
-            &[("label", json_string("a\"b")), ("sims", "3".into())],
-        );
-        t.event("done", &[]);
-        drop(t);
-        let content = std::fs::read_to_string(&path).unwrap();
-        let lines: Vec<&str> = content.lines().collect();
-        assert_eq!(lines.len(), 2);
-        assert!(lines[0].starts_with("{\"event\":\"eval\",\"t_ms\":"));
-        assert!(lines[0].contains("\"label\":\"a\\\"b\""));
-        assert!(lines[1].contains("\"done\""));
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -616,22 +532,5 @@ mod tests {
             let _s = t.span("phase");
         }
         assert_eq!(t.span_stats()[0].count, 1);
-    }
-
-    #[test]
-    fn events_flush_on_explicit_flush_and_on_drop() {
-        let dir = std::env::temp_dir().join("maopt_exec_telemetry_flush_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("events.jsonl");
-        let t = Telemetry::with_jsonl(&path).unwrap();
-        t.event("a", &[("x", json_f64(f64::NAN))]);
-        t.flush();
-        let after_flush = std::fs::read_to_string(&path).unwrap();
-        assert!(after_flush.contains("\"x\":null"), "{after_flush:?}");
-        t.event("b", &[]);
-        drop(t);
-        let after_drop = std::fs::read_to_string(&path).unwrap();
-        assert_eq!(after_drop.lines().count(), 2, "drop flushed the rest");
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -1,74 +1,17 @@
 use maopt_linalg::kernels::{axpy, debug_assert_finite, dot};
 use maopt_linalg::Mat;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 
 use crate::Activation;
-
-/// Shared forward kernel: `out = act(x·Wᵀ + b)`, resizing `out` in
-/// place (no allocation once warmed up). Every forward variant —
-/// caching, inference and workspace — funnels through this function, so
-/// they are bitwise identical by construction.
-fn forward_kernel(weights: &Mat, bias: &[f64], activation: Activation, x: &Mat, out: &mut Mat) {
-    assert_eq!(x.cols(), weights.cols(), "dense layer input width mismatch");
-    let outputs = weights.rows();
-    out.resize_reset(x.rows(), outputs);
-    for s in 0..x.rows() {
-        let row = x.row(s);
-        for o in 0..outputs {
-            let z = dot(weights.row(o), row) + bias[o];
-            out[(s, o)] = activation.apply(z);
-        }
-    }
-}
-
-/// Shared backward kernel over explicit caches `x` (layer input) and
-/// `y` (activated output). Accumulates parameter gradients when asked,
-/// writes `∂L/∂x` into `grad_in` (resized in place). The `dz == 0.0`
-/// fast path skips rows that cannot contribute — bitwise-neutral for
-/// finite operands, and debug builds assert the skipped operands really
-/// are finite so poisoned inputs are surfaced rather than laundered.
-#[allow(clippy::too_many_arguments)]
-fn backward_kernel(
-    weights: &Mat,
-    activation: Activation,
-    x: &Mat,
-    y: &Mat,
-    grad_out: &Mat,
-    grad_weights: &mut Mat,
-    grad_bias: &mut [f64],
-    grad_in: &mut Mat,
-    accumulate_params: bool,
-) {
-    assert_eq!(
-        (grad_out.rows(), grad_out.cols()),
-        (y.rows(), y.cols()),
-        "backward called with mismatched gradient shape (did you forward first?)"
-    );
-    let batch = grad_out.rows();
-    grad_in.resize_reset(batch, weights.cols());
-    for s in 0..batch {
-        for o in 0..weights.rows() {
-            let dz = grad_out[(s, o)] * activation.derivative_from_output(y[(s, o)]);
-            if dz == 0.0 {
-                debug_assert_finite(x.row(s), "dense backward zero-skip (input)");
-                debug_assert_finite(weights.row(o), "dense backward zero-skip (weights)");
-                continue;
-            }
-            if accumulate_params {
-                grad_bias[o] += dz;
-                axpy(grad_weights.row_mut(o), dz, x.row(s));
-            }
-            axpy(grad_in.row_mut(s), dz, weights.row(o));
-        }
-    }
-}
 
 /// A fully connected layer: `y = act(x·Wᵀ + b)`.
 ///
 /// Rows of the weight matrix correspond to output units, columns to inputs.
-/// The layer caches its last input and output so that [`Dense::backward`]
-/// can compute parameter and input gradients.
+/// The layer holds no activation caches: [`Dense::forward_into`] writes
+/// into a caller-owned buffer, and [`Dense::backward_into`] takes the
+/// input and output of the pass it differentiates explicitly (an
+/// [`crate::Mlp`] keeps them in a [`crate::Workspace`]).
 #[derive(Debug, Clone)]
 pub struct Dense {
     weights: Mat,
@@ -76,9 +19,6 @@ pub struct Dense {
     activation: Activation,
     grad_weights: Mat,
     grad_bias: Vec<f64>,
-    // Caches from the most recent forward pass.
-    last_input: Mat,
-    last_output: Mat,
 }
 
 impl Dense {
@@ -95,15 +35,7 @@ impl Dense {
             activation,
             grad_weights: Mat::zeros(outputs, inputs),
             grad_bias: vec![0.0; outputs],
-            last_input: Mat::zeros(0, 0),
-            last_output: Mat::zeros(0, 0),
         }
-    }
-
-    /// Deterministic convenience constructor used by tests.
-    pub fn with_seed(inputs: usize, outputs: usize, activation: Activation, seed: u64) -> Self {
-        let mut rng = StdRng::seed_from_u64(seed);
-        Dense::new(inputs, outputs, activation, &mut rng)
     }
 
     /// Number of input features.
@@ -131,79 +63,41 @@ impl Dense {
         &self.bias
     }
 
-    /// Forward pass over a batch (rows = samples).
-    ///
-    /// Caches the input and output for the subsequent backward pass.
-    /// Both caches reuse their buffers from the previous call — the
-    /// seed implementation's `x.clone()`/`out.clone()` pair is gone, so
-    /// a steady-state call allocates only the returned matrix.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.cols() != self.inputs()`.
-    pub fn forward(&mut self, x: &Mat) -> Mat {
-        forward_kernel(
-            &self.weights,
-            &self.bias,
-            self.activation,
-            x,
-            &mut self.last_output,
-        );
-        self.last_input.copy_from(x);
-        self.last_output.clone()
-    }
-
-    /// Inference-only forward pass that does not touch the caches.
-    pub fn forward_inference(&self, x: &Mat) -> Mat {
-        let mut out = Mat::default();
-        self.forward_into(x, &mut out);
-        out
-    }
-
-    /// Forward pass into a caller-owned buffer (resized in place),
-    /// touching neither the caches nor the heap once `out` is warm.
-    /// Bitwise identical to [`Dense::forward`] /
-    /// [`Dense::forward_inference`].
+    /// Forward pass over a batch (rows = samples): `out = act(x·Wᵀ + b)`,
+    /// with `out` resized in place, so nothing is allocated once it is
+    /// warm.
     ///
     /// # Panics
     ///
     /// Panics if `x.cols() != self.inputs()`.
     pub fn forward_into(&self, x: &Mat, out: &mut Mat) {
-        forward_kernel(&self.weights, &self.bias, self.activation, x, out);
-    }
-
-    /// Backward pass: given `∂L/∂y`, accumulates parameter gradients and
-    /// returns `∂L/∂x`.
-    ///
-    /// Gradients accumulate across calls until [`Dense::zero_grad`]; combine
-    /// with `accumulate_params = false` to propagate through a frozen layer
-    /// (used when training an actor through the critic).
-    ///
-    /// # Panics
-    ///
-    /// Panics if no forward pass preceded this call or if `grad_out` does not
-    /// match the cached output shape.
-    pub fn backward(&mut self, grad_out: &Mat, accumulate_params: bool) -> Mat {
-        let mut grad_in = Mat::default();
-        backward_kernel(
-            &self.weights,
-            self.activation,
-            &self.last_input,
-            &self.last_output,
-            grad_out,
-            &mut self.grad_weights,
-            &mut self.grad_bias,
-            &mut grad_in,
-            accumulate_params,
+        assert_eq!(
+            x.cols(),
+            self.weights.cols(),
+            "dense layer input width mismatch"
         );
-        grad_in
+        out.resize_reset(x.rows(), self.outputs());
+        for s in 0..x.rows() {
+            let row = x.row(s);
+            for o in 0..self.outputs() {
+                let z = dot(self.weights.row(o), row) + self.bias[o];
+                out[(s, o)] = self.activation.apply(z);
+            }
+        }
     }
 
-    /// Backward pass over *explicit* caches: `x` is the input and `y`
-    /// the activated output of the forward pass being differentiated
-    /// (e.g. buffers held in a [`crate::Workspace`]). Writes `∂L/∂x`
-    /// into `grad_in`, resized in place — no allocation once warm.
-    /// Bitwise identical to [`Dense::backward`].
+    /// Backward pass over the forward pass that read `x` (the layer
+    /// input) and wrote `y` (its activated output). Given `∂L/∂y`,
+    /// writes `∂L/∂x` into `grad_in` (resized in place — no allocation
+    /// once warm).
+    ///
+    /// Parameter gradients accumulate across calls until
+    /// [`Dense::zero_grad`]; `accumulate_params = false` propagates
+    /// through a frozen layer instead (used when training an actor
+    /// through the critic). The `dz == 0.0` fast path skips rows that
+    /// cannot contribute — bitwise-neutral for finite operands, and debug
+    /// builds assert the skipped operands really are finite so poisoned
+    /// inputs are surfaced rather than laundered.
     ///
     /// # Panics
     ///
@@ -216,17 +110,28 @@ impl Dense {
         grad_in: &mut Mat,
         accumulate_params: bool,
     ) {
-        backward_kernel(
-            &self.weights,
-            self.activation,
-            x,
-            y,
-            grad_out,
-            &mut self.grad_weights,
-            &mut self.grad_bias,
-            grad_in,
-            accumulate_params,
+        assert_eq!(
+            (grad_out.rows(), grad_out.cols()),
+            (y.rows(), y.cols()),
+            "backward called with mismatched gradient shape (did you forward first?)"
         );
+        let batch = grad_out.rows();
+        grad_in.resize_reset(batch, self.inputs());
+        for s in 0..batch {
+            for o in 0..self.outputs() {
+                let dz = grad_out[(s, o)] * self.activation.derivative_from_output(y[(s, o)]);
+                if dz == 0.0 {
+                    debug_assert_finite(x.row(s), "dense backward zero-skip (input)");
+                    debug_assert_finite(self.weights.row(o), "dense backward zero-skip (weights)");
+                    continue;
+                }
+                if accumulate_params {
+                    self.grad_bias[o] += dz;
+                    axpy(self.grad_weights.row_mut(o), dz, x.row(s));
+                }
+                axpy(grad_in.row_mut(s), dz, self.weights.row(o));
+            }
+        }
     }
 
     /// Clears accumulated parameter gradients.
@@ -289,28 +194,42 @@ impl Dense {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::SeedableRng;
+
+    fn seeded(inputs: usize, outputs: usize, activation: Activation, seed: u64) -> Dense {
+        Dense::new(
+            inputs,
+            outputs,
+            activation,
+            &mut StdRng::seed_from_u64(seed),
+        )
+    }
+
+    fn forward_pass(layer: &Dense, x: &Mat) -> Mat {
+        let mut out = Mat::default();
+        layer.forward_into(x, &mut out);
+        out
+    }
+
+    fn backward_pass(layer: &mut Dense, x: &Mat, grad_out: &Mat, accumulate_params: bool) -> Mat {
+        let y = forward_pass(layer, x);
+        let mut grad_in = Mat::default();
+        layer.backward_into(x, &y, grad_out, &mut grad_in, accumulate_params);
+        grad_in
+    }
 
     #[test]
     fn forward_identity_is_affine() {
-        let mut layer = Dense::with_seed(2, 1, Activation::Identity, 1);
+        let layer = seeded(2, 1, Activation::Identity, 1);
         let x = Mat::from_rows(&[&[1.0, 2.0]]);
-        let y = layer.forward(&x);
+        let y = forward_pass(&layer, &x);
         let expected = layer.weights()[(0, 0)] + 2.0 * layer.weights()[(0, 1)];
         assert!((y[(0, 0)] - expected).abs() < 1e-15);
     }
 
     #[test]
-    fn forward_inference_matches_forward() {
-        let mut layer = Dense::with_seed(3, 4, Activation::Tanh, 7);
-        let x = Mat::from_rows(&[&[0.1, -0.2, 0.3], &[1.0, 0.0, -1.0]]);
-        let a = layer.forward(&x);
-        let b = layer.forward_inference(&x);
-        assert_eq!(a, b);
-    }
-
-    #[test]
     fn xavier_init_within_limit() {
-        let layer = Dense::with_seed(10, 10, Activation::Relu, 3);
+        let layer = seeded(10, 10, Activation::Relu, 3);
         let limit = (6.0 / 20.0_f64).sqrt();
         assert!(layer.weights().as_slice().iter().all(|w| w.abs() <= limit));
         assert!(layer.bias().iter().all(|&b| b == 0.0));
@@ -318,7 +237,7 @@ mod tests {
 
     #[test]
     fn param_count() {
-        let layer = Dense::with_seed(3, 5, Activation::Relu, 0);
+        let layer = seeded(3, 5, Activation::Relu, 0);
         assert_eq!(layer.param_count(), 3 * 5 + 5);
     }
 
@@ -327,19 +246,18 @@ mod tests {
     #[test]
     fn backward_matches_finite_difference() {
         for act in [Activation::Identity, Activation::Tanh, Activation::Sigmoid] {
-            let mut layer = Dense::with_seed(3, 2, act, 11);
+            let mut layer = seeded(3, 2, act, 11);
             let x = Mat::from_rows(&[&[0.3, -0.7, 0.2], &[0.9, 0.1, -0.4]]);
 
             let loss = |l: &Dense, xx: &Mat| -> f64 {
-                let y = l.forward_inference(xx);
+                let y = forward_pass(l, xx);
                 y.as_slice().iter().map(|v| v * v).sum()
             };
 
             // Analytic gradients: dL/dy = 2y.
-            let y = layer.forward(&x);
-            let grad_out = y.scaled(2.0);
+            let grad_out = forward_pass(&layer, &x).scaled(2.0);
             layer.zero_grad();
-            let grad_in = layer.backward(&grad_out, true);
+            let grad_in = backward_pass(&mut layer, &x, &grad_out, true);
 
             let h = 1e-6;
             // Parameter gradients.
@@ -384,30 +302,30 @@ mod tests {
 
     #[test]
     fn frozen_backward_leaves_param_grads_untouched() {
-        let mut layer = Dense::with_seed(2, 2, Activation::Tanh, 5);
+        let mut layer = seeded(2, 2, Activation::Tanh, 5);
         let x = Mat::from_rows(&[&[0.5, -0.5]]);
-        let y = layer.forward(&x);
+        let grad_out = forward_pass(&layer, &x).scaled(2.0);
         layer.zero_grad();
-        let _ = layer.backward(&y.scaled(2.0), false);
+        let _ = backward_pass(&mut layer, &x, &grad_out, false);
         assert!(layer.grad_weights.as_slice().iter().all(|&g| g == 0.0));
         assert!(layer.grad_bias.iter().all(|&g| g == 0.0));
     }
 
     #[test]
     fn sgd_step_reduces_quadratic_loss() {
-        let mut layer = Dense::with_seed(1, 1, Activation::Identity, 2);
+        let mut layer = seeded(1, 1, Activation::Identity, 2);
         let x = Mat::from_rows(&[&[1.0]]);
         let target = 3.0;
         let mut prev_loss = f64::INFINITY;
         for _ in 0..50 {
-            let y = layer.forward(&x);
+            let y = forward_pass(&layer, &x);
             let err = y[(0, 0)] - target;
             let loss = err * err;
             assert!(loss <= prev_loss + 1e-12, "loss must not increase");
             prev_loss = loss;
             layer.zero_grad();
             let grad = Mat::from_rows(&[&[2.0 * err]]);
-            layer.backward(&grad, true);
+            backward_pass(&mut layer, &x, &grad, true);
             layer.sgd_step(0.1);
         }
         assert!(prev_loss < 1e-6);

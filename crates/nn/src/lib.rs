@@ -7,29 +7,35 @@
 //!   backpropagation (finite-difference-verified in the test suite),
 //! * an [`Mlp`] container with **input-gradient** support — training an actor
 //!   *through* a frozen critic requires `∂L/∂input` of the critic,
+//! * one batch pass: [`Mlp::forward_ws`] and [`Mlp::backward_ws`] keep
+//!   activations and gradients in a reusable [`Workspace`], so training,
+//!   frozen-critic backprop and batch inference all run the same
+//!   allocation-free kernels ([`Mlp::predict`] is a single-row wrapper),
 //! * the [`Adam`] and [`Sgd`] optimizers,
 //! * [`MinMaxScaler`] for normalizing network inputs/outputs to the unit box.
 //!
 //! # Example: fit a line
 //!
 //! ```
-//! use maopt_nn::{Activation, Adam, Mlp, mse_loss_grad};
+//! use maopt_nn::{mse_loss, mse_loss_grad_into, Activation, Adam, Mlp, Workspace};
 //! use maopt_linalg::Mat;
 //!
 //! let mut mlp = Mlp::new(&[1, 16, 1], Activation::Tanh, 42);
 //! let mut adam = Adam::new(&mlp, 1e-2);
 //! let x = Mat::from_fn(32, 1, |i, _| i as f64 / 32.0);
 //! let y = Mat::from_fn(32, 1, |i, _| 2.0 * (i as f64 / 32.0) - 0.5);
+//! // Activations and the loss gradient live in reused buffers, so the
+//! // loop allocates nothing after its first step.
+//! let mut ws = Workspace::new();
+//! let mut grad = Mat::default();
 //! for _ in 0..500 {
-//!     let pred = mlp.forward(&x);
-//!     let (_, grad) = mse_loss_grad(&pred, &y);
+//!     let pred = mlp.forward_ws(&x, &mut ws);
+//!     mse_loss_grad_into(pred, &y, &mut grad);
 //!     mlp.zero_grad();
-//!     mlp.backward(&grad);
+//!     mlp.backward_ws(&grad, &mut ws, true);
 //!     adam.step(&mut mlp);
 //! }
-//! let pred = mlp.forward(&x);
-//! let (loss, _) = mse_loss_grad(&pred, &y);
-//! assert!(loss < 1e-3);
+//! assert!(mse_loss(mlp.forward_ws(&x, &mut ws), &y) < 1e-3);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -46,7 +52,7 @@ mod workspace;
 
 pub use activation::Activation;
 pub use dense::Dense;
-pub use loss::{mse_loss, mse_loss_grad, mse_loss_grad_into};
+pub use loss::{mse_loss, mse_loss_grad_into};
 pub use mlp::Mlp;
 pub use optimizer::{Adam, Sgd};
 pub use scaler::MinMaxScaler;

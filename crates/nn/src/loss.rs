@@ -23,22 +23,12 @@ pub fn mse_loss(pred: &Mat, target: &Mat) -> f64 {
         / n
 }
 
-/// MSE loss together with its gradient `∂L/∂pred = 2(pred − target)/N`.
-///
-/// # Panics
-///
-/// Panics if `pred` and `target` have different shapes.
-pub fn mse_loss_grad(pred: &Mat, target: &Mat) -> (f64, Mat) {
-    let mut grad = Mat::default();
-    let loss = mse_loss_grad_into(pred, target, &mut grad);
-    (loss, grad)
-}
-
-/// [`mse_loss_grad`] writing the gradient into a caller-owned buffer.
+/// MSE loss together with its gradient `∂L/∂pred = 2(pred − target)/N`,
+/// written into a caller-owned buffer.
 ///
 /// `grad` is resized to `pred`'s shape reusing its capacity, so a
 /// training loop that keeps the buffer allocates nothing here. Returns
-/// the loss; results are bitwise identical to [`mse_loss_grad`].
+/// the loss, bitwise equal to [`mse_loss`].
 ///
 /// # Panics
 ///
@@ -64,7 +54,8 @@ mod tests {
     #[test]
     fn zero_loss_for_identical() {
         let a = Mat::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
-        let (loss, grad) = mse_loss_grad(&a, &a);
+        let mut grad = Mat::default();
+        let loss = mse_loss_grad_into(&a, &a, &mut grad);
         assert_eq!(loss, 0.0);
         assert!(grad.as_slice().iter().all(|&g| g == 0.0));
     }
@@ -81,7 +72,8 @@ mod tests {
     fn gradient_matches_finite_difference() {
         let pred = Mat::from_rows(&[&[0.3, -0.8], &[1.2, 0.1]]);
         let target = Mat::from_rows(&[&[0.0, 0.5], &[1.0, -1.0]]);
-        let (_, grad) = mse_loss_grad(&pred, &target);
+        let mut grad = Mat::default();
+        mse_loss_grad_into(&pred, &target, &mut grad);
         let h = 1e-7;
         for i in 0..2 {
             for j in 0..2 {

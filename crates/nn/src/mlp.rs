@@ -107,35 +107,14 @@ impl Mlp {
         self.layers.iter().map(Dense::param_count).sum()
     }
 
-    /// Forward pass over a batch, caching activations for backward.
-    pub fn forward(&mut self, x: &Mat) -> Mat {
-        let (first, rest) = self.layers.split_first_mut().expect("MLP has layers");
-        let mut h = first.forward(x);
-        for layer in rest {
-            h = layer.forward(&h);
-        }
-        h
-    }
-
-    /// Inference-only forward pass (no caches touched, `&self`).
-    pub fn forward_inference(&self, x: &Mat) -> Mat {
-        let (first, rest) = self.layers.split_first().expect("MLP has layers");
-        let mut h = first.forward_inference(x);
-        for layer in rest {
-            h = layer.forward_inference(&h);
-        }
-        h
-    }
-
-    /// Forward pass through caller-owned [`Workspace`] buffers.
+    /// Forward pass over a batch (rows = samples) through caller-owned
+    /// [`Workspace`] buffers.
     ///
-    /// Activations (including a copy of the input) land in `ws`, layer
-    /// caches are untouched (`&self`), and nothing is allocated once
-    /// the workspace is warm for this `(batch, widths)` shape. The
-    /// returned reference is the activated output, living in `ws`.
-    /// Bitwise identical to [`Mlp::forward`] and
-    /// [`Mlp::forward_inference`]; pair with [`Mlp::backward_ws`] for a
-    /// zero-allocation training step.
+    /// Activations (including a copy of the input) land in `ws`, the
+    /// network is untouched (`&self`), and nothing is allocated once the
+    /// workspace is warm for this `(batch, widths)` shape. The returned
+    /// reference is the activated output, living in `ws`. Pair with
+    /// [`Mlp::backward_ws`] for a zero-allocation training step.
     pub fn forward_ws<'w>(&self, x: &Mat, ws: &'w mut Workspace) -> &'w Mat {
         let n = self.layers.len();
         ws.acts.resize_with(n + 1, Mat::default);
@@ -151,8 +130,11 @@ impl Mlp {
     /// [`Mlp::forward_ws`] on the same workspace. Parameter gradients
     /// accumulate when `accumulate` is true (frozen-network mode
     /// otherwise); the returned reference is `∂L/∂input`, living in
-    /// `ws`. Allocation-free once warm and bitwise identical to
-    /// [`Mlp::backward`] / [`Mlp::backward_input_only`].
+    /// `ws`. Allocation-free once warm.
+    ///
+    /// Frozen mode is how an actor trains through the critic: the
+    /// critic's input gradient with respect to the action half of its
+    /// input is the actor's output gradient.
     ///
     /// # Panics
     ///
@@ -190,38 +172,13 @@ impl Mlp {
         }
     }
 
-    /// Convenience single-sample prediction.
+    /// Convenience single-sample prediction: one [`Mlp::forward_ws`]
+    /// pass through a local [`Workspace`].
     pub fn predict(&self, x: &[f64]) -> Vec<f64> {
-        let input = Mat::from_rows(&[x]);
-        self.forward_inference(&input).into_vec()
-    }
-
-    /// Backward pass accumulating parameter gradients; returns `∂L/∂input`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if [`Mlp::forward`] was not called first with a matching batch.
-    pub fn backward(&mut self, grad_out: &Mat) -> Mat {
-        self.backward_impl(grad_out, true)
-    }
-
-    /// Backward pass through a *frozen* network: parameter gradients are not
-    /// accumulated, only `∂L/∂input` is computed.
-    ///
-    /// This is how the actor trains through the critic: the critic's
-    /// input-gradient with respect to the action half of its input is the
-    /// actor's output gradient.
-    pub fn backward_input_only(&mut self, grad_out: &Mat) -> Mat {
-        self.backward_impl(grad_out, false)
-    }
-
-    fn backward_impl(&mut self, grad_out: &Mat, accumulate: bool) -> Mat {
-        let (last, rest) = self.layers.split_last_mut().expect("MLP has layers");
-        let mut g = last.backward(grad_out, accumulate);
-        for layer in rest.iter_mut().rev() {
-            g = layer.backward(&g, accumulate);
-        }
-        g
+        let mut ws = Workspace::new();
+        self.forward_ws(&Mat::from_rows(&[x]), &mut ws)
+            .as_slice()
+            .to_vec()
     }
 
     /// Clears all accumulated parameter gradients.
@@ -232,10 +189,28 @@ impl Mlp {
     }
 }
 
+/// One full-batch MSE pass for unit tests: [`Mlp::forward_ws`], the loss
+/// gradient, [`Mlp::zero_grad`] and an accumulating [`Mlp::backward_ws`],
+/// leaving the parameter gradients for an optimizer step. Returns the
+/// loss.
+#[cfg(test)]
+pub(crate) fn mse_backward(
+    mlp: &mut Mlp,
+    x: &Mat,
+    y: &Mat,
+    ws: &mut Workspace,
+    grad: &mut Mat,
+) -> f64 {
+    let loss = crate::mse_loss_grad_into(mlp.forward_ws(x, ws), y, grad);
+    mlp.zero_grad();
+    mlp.backward_ws(grad, ws, true);
+    loss
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{mse_loss_grad, Adam};
+    use crate::{mse_loss_grad_into, Adam};
 
     #[test]
     fn shapes_propagate() {
@@ -279,13 +254,14 @@ mod tests {
         let x = Mat::from_rows(&[&[0.2, -0.4], &[0.8, 0.3], &[-0.6, 0.9]]);
         let y = Mat::from_rows(&[&[1.0], &[-1.0], &[0.5]]);
 
-        let pred = mlp.forward(&x);
-        let (_, grad) = mse_loss_grad(&pred, &y);
-        mlp.zero_grad();
-        let grad_in = mlp.backward(&grad);
+        let mut ws = Workspace::new();
+        let mut grad = Mat::default();
+        mse_loss_grad_into(mlp.forward_ws(&x, &mut ws), &y, &mut grad);
+        let grad_in = mlp.backward_ws(&grad, &mut ws, true).clone();
 
         let loss_of = |m: &Mlp, xx: &Mat| -> f64 {
-            let p = m.forward_inference(xx);
+            let mut ws = Workspace::new();
+            let p = m.forward_ws(xx, &mut ws);
             let n = (p.rows() * p.cols()) as f64;
             p.as_slice()
                 .iter()
@@ -314,16 +290,29 @@ mod tests {
     }
 
     #[test]
-    fn backward_input_only_matches_backward_input_grad() {
+    fn frozen_backward_matches_accumulating_input_grad() {
         let mut a = Mlp::new(&[3, 6, 2], Activation::Tanh, 4);
         let mut b = a.clone();
         let x = Mat::from_rows(&[&[0.1, 0.2, 0.3]]);
         let g = Mat::from_rows(&[&[1.0, -2.0]]);
-        a.forward(&x);
-        b.forward(&x);
-        let gi_full = a.backward(&g);
-        let gi_frozen = b.backward_input_only(&g);
+        let (mut wa, mut wb) = (Workspace::new(), Workspace::new());
+        a.forward_ws(&x, &mut wa);
+        b.forward_ws(&x, &mut wb);
+        let gi_full = a.backward_ws(&g, &mut wa, true);
+        let gi_frozen = b.backward_ws(&g, &mut wb, false);
         assert_eq!(gi_full, gi_frozen);
+    }
+
+    /// Full-batch training: `forward_ws` → MSE → `backward_ws` → Adam.
+    fn train(mlp: &mut Mlp, adam: &mut Adam, x: &Mat, y: &Mat, steps: usize) -> f64 {
+        let mut ws = Workspace::new();
+        let mut grad = Mat::default();
+        let mut loss = f64::NAN;
+        for _ in 0..steps {
+            loss = mse_backward(mlp, x, y, &mut ws, &mut grad);
+            adam.step(mlp);
+        }
+        loss
     }
 
     #[test]
@@ -332,14 +321,9 @@ mod tests {
         let mut adam = Adam::new(&mlp, 5e-3);
         let x = Mat::from_rows(&[&[0.0, 0.0], &[0.0, 1.0], &[1.0, 0.0], &[1.0, 1.0]]);
         let y = Mat::from_rows(&[&[0.0], &[1.0], &[1.0], &[0.0]]);
-        for _ in 0..2000 {
-            let pred = mlp.forward(&x);
-            let (_, grad) = mse_loss_grad(&pred, &y);
-            mlp.zero_grad();
-            mlp.backward(&grad);
-            adam.step(&mut mlp);
-        }
-        let pred = mlp.forward_inference(&x);
+        train(&mut mlp, &mut adam, &x, &y, 2000);
+        let mut ws = Workspace::new();
+        let pred = mlp.forward_ws(&x, &mut ws);
         for (p, t) in pred.as_slice().iter().zip(y.as_slice()) {
             assert!((p - t).abs() < 0.1, "XOR not learned: {p} vs {t}");
         }
@@ -360,15 +344,7 @@ mod tests {
                 xi * xi
             }
         });
-        let mut final_loss = f64::INFINITY;
-        for _ in 0..1500 {
-            let pred = mlp.forward(&x);
-            let (loss, grad) = mse_loss_grad(&pred, &y);
-            final_loss = loss;
-            mlp.zero_grad();
-            mlp.backward(&grad);
-            adam.step(&mut mlp);
-        }
+        let final_loss = train(&mut mlp, &mut adam, &x, &y, 1500);
         assert!(final_loss < 5e-3, "loss {final_loss}");
     }
 }

@@ -167,7 +167,8 @@ impl Adam {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{mse_loss_grad, Activation};
+    use crate::mlp::mse_backward;
+    use crate::{Activation, Workspace};
     use maopt_linalg::Mat;
 
     fn train_linear(optimizer_is_adam: bool) -> f64 {
@@ -176,13 +177,10 @@ mod tests {
         let sgd = Sgd::new(1e-2);
         let x = Mat::from_fn(16, 1, |i, _| i as f64 / 16.0);
         let y = Mat::from_fn(16, 1, |i, _| 0.5 * (i as f64 / 16.0) + 0.1);
+        let (mut ws, mut grad) = (Workspace::new(), Mat::default());
         let mut loss = f64::INFINITY;
         for _ in 0..400 {
-            let pred = mlp.forward(&x);
-            let (l, grad) = mse_loss_grad(&pred, &y);
-            loss = l;
-            mlp.zero_grad();
-            mlp.backward(&grad);
+            loss = mse_backward(&mut mlp, &x, &y, &mut ws, &mut grad);
             if optimizer_is_adam {
                 adam.step(&mut mlp);
             } else {
@@ -228,9 +226,7 @@ mod tests {
         let mut adam = Adam::new(&mlp, 1e-2);
         let x = Mat::from_rows(&[&[1.0]]);
         let y = Mat::from_rows(&[&[2.0]]);
-        let pred = mlp.forward(&x);
-        let (_, grad) = mse_loss_grad(&pred, &y);
-        mlp.backward(&grad);
+        mse_backward(&mut mlp, &x, &y, &mut Workspace::new(), &mut Mat::default());
         adam.step(&mut mlp);
         assert!(adam.m.iter().any(|&m| m != 0.0));
         adam.reset();

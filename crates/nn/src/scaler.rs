@@ -18,11 +18,12 @@ use maopt_linalg::Mat;
 ///
 /// let data = Mat::from_rows(&[&[0.0, 100.0], &[10.0, 300.0]]);
 /// let scaler = MinMaxScaler::fit(&data);
-/// let scaled = scaler.transform(&data);
+/// let mut scaled = Mat::default();
+/// scaler.transform_into(&data, &mut scaled);
 /// assert_eq!(scaled[(0, 0)], 0.0);
 /// assert_eq!(scaled[(1, 1)], 1.0);
-/// let back = scaler.inverse_transform(&scaled);
-/// assert!((back[(1, 1)] - 300.0).abs() < 1e-12);
+/// scaler.inverse_transform_inplace(&mut scaled);
+/// assert!((scaled[(1, 1)] - 300.0).abs() < 1e-12);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct MinMaxScaler {
@@ -102,24 +103,11 @@ impl MinMaxScaler {
         }
     }
 
-    /// Scales a matrix into the unit box.
+    /// Scales a matrix into the unit box, writing into a caller-owned
+    /// buffer (`out` is resized to `data`'s shape reusing its capacity).
     ///
     /// Values outside the fitted range extrapolate linearly (they are not
     /// clipped), so unseen-but-nearby data keeps its ordering.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `data.cols() != self.cols()`.
-    pub fn transform(&self, data: &Mat) -> Mat {
-        let mut out = Mat::default();
-        self.transform_into(data, &mut out);
-        out
-    }
-
-    /// [`MinMaxScaler::transform`] writing into a caller-owned buffer.
-    ///
-    /// `out` is resized to `data`'s shape reusing its capacity; results
-    /// are bitwise identical to the allocating path.
     ///
     /// # Panics
     ///
@@ -134,19 +122,6 @@ impl MinMaxScaler {
         }
     }
 
-    /// Scales a single row.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `row.len() != self.cols()`.
-    pub fn transform_row(&self, row: &[f64]) -> Vec<f64> {
-        assert_eq!(row.len(), self.cols(), "scaler column mismatch");
-        row.iter()
-            .enumerate()
-            .map(|(j, &v)| self.transform_value(v, j))
-            .collect()
-    }
-
     /// Maps one value in column `j` into scaled space.
     pub fn transform_value(&self, v: f64, j: usize) -> f64 {
         if self.ranges[j] == 0.0 {
@@ -156,21 +131,8 @@ impl MinMaxScaler {
         }
     }
 
-    /// Inverse of [`MinMaxScaler::transform`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `data.cols() != self.cols()`.
-    pub fn inverse_transform(&self, data: &Mat) -> Mat {
-        let mut out = data.clone();
-        self.inverse_transform_inplace(&mut out);
-        out
-    }
-
-    /// Inverse-transforms a matrix in place (no allocation).
-    ///
-    /// Results are bitwise identical to
-    /// [`MinMaxScaler::inverse_transform`].
+    /// Inverse of [`MinMaxScaler::transform_into`], in place (no
+    /// allocation).
     ///
     /// # Panics
     ///
@@ -182,19 +144,6 @@ impl MinMaxScaler {
                 data[(i, j)] = self.inverse_value(data[(i, j)], j);
             }
         }
-    }
-
-    /// Inverse-transforms a single row.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `row.len() != self.cols()`.
-    pub fn inverse_row(&self, row: &[f64]) -> Vec<f64> {
-        assert_eq!(row.len(), self.cols(), "scaler column mismatch");
-        row.iter()
-            .enumerate()
-            .map(|(j, &v)| self.inverse_value(v, j))
-            .collect()
     }
 
     /// Maps one scaled value in column `j` back to the original units.
@@ -224,17 +173,19 @@ mod tests {
     fn roundtrip() {
         let data = Mat::from_rows(&[&[1.0, -5.0, 3.0], &[2.0, 5.0, 3.5], &[0.0, 0.0, 4.0]]);
         let s = MinMaxScaler::fit(&data);
-        let t = s.transform(&data);
+        let mut t = Mat::default();
+        s.transform_into(&data, &mut t);
         assert!(t.as_slice().iter().all(|&v| (0.0..=1.0).contains(&v)));
-        let back = s.inverse_transform(&t);
-        assert!((&back - &data).max_abs() < 1e-12);
+        s.inverse_transform_inplace(&mut t);
+        assert!((&t - &data).max_abs() < 1e-12);
     }
 
     #[test]
     fn constant_column_maps_to_half() {
         let data = Mat::from_rows(&[&[7.0], &[7.0]]);
         let s = MinMaxScaler::fit(&data);
-        let t = s.transform(&data);
+        let mut t = Mat::default();
+        s.transform_into(&data, &mut t);
         assert_eq!(t[(0, 0)], 0.5);
         assert_eq!(s.inverse_value(0.123, 0), 7.0);
         assert_eq!(s.scale_factor(0), 0.0);
@@ -259,9 +210,24 @@ mod tests {
     fn row_api_matches_matrix_api() {
         let data = Mat::from_rows(&[&[1.0, 2.0], &[3.0, 8.0]]);
         let s = MinMaxScaler::fit(&data);
-        let row = s.transform_row(&[2.0, 5.0]);
-        assert_eq!(row, vec![0.5, 0.5]);
-        assert_eq!(s.inverse_row(&row), vec![2.0, 5.0]);
+        let row = [2.0, 5.0];
+        let scaled: Vec<f64> = row
+            .iter()
+            .enumerate()
+            .map(|(j, &v)| s.transform_value(v, j))
+            .collect();
+        assert_eq!(scaled, vec![0.5, 0.5]);
+        let mut m = Mat::default();
+        s.transform_into(&Mat::from_rows(&[&row]), &mut m);
+        assert_eq!(m.row(0), &scaled[..]);
+        s.inverse_transform_inplace(&mut m);
+        assert_eq!(m.row(0), &row[..]);
+        let back: Vec<f64> = scaled
+            .iter()
+            .enumerate()
+            .map(|(j, &v)| s.inverse_value(v, j))
+            .collect();
+        assert_eq!(back, row);
     }
 
     #[test]

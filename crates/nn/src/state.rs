@@ -101,7 +101,8 @@ impl Mlp {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{mse_loss_grad, Activation, Adam, MinMaxScaler};
+    use crate::mlp::mse_backward;
+    use crate::{Activation, Adam, MinMaxScaler, Workspace};
     use maopt_linalg::Mat;
 
     fn trained_pair() -> (Mlp, Adam, Mat, Mat) {
@@ -109,11 +110,9 @@ mod tests {
         let mut adam = Adam::new(&mlp, 1e-2);
         let x = Mat::from_fn(8, 2, |i, j| (i + j) as f64 / 8.0);
         let y = Mat::from_fn(8, 1, |i, _| (i as f64 / 8.0).sin());
+        let (mut ws, mut grad) = (Workspace::new(), Mat::default());
         for _ in 0..20 {
-            let pred = mlp.forward(&x);
-            let (_, grad) = mse_loss_grad(&pred, &y);
-            mlp.zero_grad();
-            mlp.backward(&grad);
+            mse_backward(&mut mlp, &x, &y, &mut ws, &mut grad);
             adam.step(&mut mlp);
         }
         (mlp, adam, x, y)
@@ -127,7 +126,8 @@ mod tests {
         assert_ne!(fresh.predict(&[0.3, 0.4]), mlp.predict(&[0.3, 0.4]));
         fresh.restore(&state);
         assert_eq!(fresh.predict(&[0.3, 0.4]), mlp.predict(&[0.3, 0.4]));
-        assert_eq!(fresh.forward_inference(&x), mlp.forward_inference(&x));
+        let (mut wa, mut wb) = (Workspace::new(), Workspace::new());
+        assert_eq!(fresh.forward_ws(&x, &mut wa), mlp.forward_ws(&x, &mut wb));
     }
 
     #[test]
@@ -143,12 +143,10 @@ mod tests {
         mlp2.restore(&net_state);
         adam2.restore(&opt_state);
 
+        let (mut ws, mut grad) = (Workspace::new(), Mat::default());
         for _ in 0..10 {
             for (net, opt) in [(&mut mlp, &mut adam), (&mut mlp2, &mut adam2)] {
-                let pred = net.forward(&x);
-                let (_, grad) = mse_loss_grad(&pred, &y);
-                net.zero_grad();
-                net.backward(&grad);
+                mse_backward(net, &x, &y, &mut ws, &mut grad);
                 opt.step(net);
             }
         }
@@ -162,7 +160,10 @@ mod tests {
         let s = MinMaxScaler::fit(&data);
         let back = MinMaxScaler::from_state(&s.state());
         assert_eq!(back, s);
-        assert_eq!(back.transform(&data), s.transform(&data));
+        let (mut a, mut b) = (Mat::default(), Mat::default());
+        back.transform_into(&data, &mut a);
+        s.transform_into(&data, &mut b);
+        assert_eq!(a, b);
     }
 
     #[test]

@@ -9,17 +9,16 @@ use maopt_linalg::Mat;
 /// `(batch, widths)` shape, a full forward + backward pass performs
 /// **zero heap allocations**.
 ///
-/// The workspace replaces the `last_input`/`last_output` clone pair that
-/// [`crate::Dense::forward`] keeps for its own backward pass — with a
-/// workspace, activations live in caller-owned buffers and layers stay
-/// untouched (`&self`) during the forward pass.
+/// This is the only way through a network: layers hold no activation
+/// caches, so activations live in caller-owned buffers and layers stay
+/// untouched (`&self`) during the forward pass. The nn property tests
+/// check both passes bit for bit against a naive test-local loop.
 ///
-/// One workspace serves one network at a time: interleaving `forward_ws`
-/// calls of two differently-shaped networks through the same workspace
-/// re-sizes the buffers each call (correct, but no longer
-/// allocation-free). Results are bitwise identical to the allocating
-/// [`crate::Mlp::forward`]/[`crate::Mlp::backward`] paths — enforced by
-/// the nn property tests.
+/// One workspace serves one network shape at a time: interleaving
+/// `forward_ws` calls of two differently-shaped networks through the
+/// same workspace re-sizes the buffers each call (correct, but no longer
+/// allocation-free). Networks of one shape — e.g. the members of a
+/// critic ensemble — can share a workspace without re-sizing.
 #[derive(Debug, Clone, Default)]
 pub struct Workspace {
     /// `acts[0]` is a copy of the input; `acts[l + 1]` is layer `l`'s

@@ -1,7 +1,7 @@
 //! Property-based tests for the neural-network stack.
 
 use maopt_linalg::Mat;
-use maopt_nn::{mse_loss, mse_loss_grad, mse_loss_grad_into, Activation, Mlp, Workspace};
+use maopt_nn::{mse_loss, mse_loss_grad_into, Activation, Dense, Mlp, Sgd, Workspace};
 use proptest::prelude::*;
 
 fn small_batch(rows: usize, cols: usize) -> impl Strategy<Value = Mat> {
@@ -19,6 +19,75 @@ fn slice_bits(s: &[f64]) -> Vec<u64> {
     s.iter().map(|v| v.to_bits()).collect()
 }
 
+/// `forward_ws` into a fresh workspace, copied out.
+fn forward_fresh(mlp: &Mlp, x: &Mat) -> Mat {
+    mlp.forward_ws(x, &mut Workspace::new()).clone()
+}
+
+const ACTIVATIONS: [Activation; 4] = [
+    Activation::Identity,
+    Activation::Relu,
+    Activation::Tanh,
+    Activation::Sigmoid,
+];
+
+/// Naive reference forward pass, independent of the library kernels:
+/// every dot product starts at `-0.0` (the identity `Iterator::sum`
+/// folds from), reduces over `k` in ascending order, then adds the bias.
+/// Returns every layer's activated output, input first.
+fn naive_forward(mlp: &Mlp, x: &Mat) -> Vec<Mat> {
+    let mut acts = vec![x.clone()];
+    for layer in mlp.layers() {
+        let input = acts.last().unwrap();
+        let (w, b) = (layer.weights(), layer.bias());
+        let out = Mat::from_fn(input.rows(), layer.outputs(), |s, o| {
+            let mut z = -0.0;
+            for k in 0..layer.inputs() {
+                z += w[(o, k)] * input[(s, k)];
+            }
+            layer.activation().apply(z + b[o])
+        });
+        acts.push(out);
+    }
+    acts
+}
+
+/// Naive reference backward pass over `naive_forward`'s activations:
+/// returns `∂L/∂input` and, per layer, the parameters after one SGD step
+/// with learning rate 1 on the gradients of this pass alone (the
+/// parameter gradients themselves are private to the library). A unit
+/// whose `dz` is exactly zero is skipped, as the library does.
+fn naive_backward(mlp: &Mlp, acts: &[Mat], grad_out: &Mat) -> (Mat, Vec<(Mat, Vec<f64>)>) {
+    let mut g = grad_out.clone();
+    let mut stepped = Vec::new();
+    for (l, layer) in mlp.layers().iter().enumerate().rev() {
+        let (x, y) = (&acts[l], &acts[l + 1]);
+        let w = layer.weights();
+        let mut gw = Mat::zeros(layer.outputs(), layer.inputs());
+        let mut gb = vec![0.0; layer.outputs()];
+        let mut gin = Mat::zeros(x.rows(), layer.inputs());
+        for s in 0..x.rows() {
+            for o in 0..layer.outputs() {
+                let dz = g[(s, o)] * layer.activation().derivative_from_output(y[(s, o)]);
+                if dz == 0.0 {
+                    continue;
+                }
+                gb[o] += dz;
+                for k in 0..layer.inputs() {
+                    gw[(o, k)] += dz * x[(s, k)];
+                    gin[(s, k)] += dz * w[(o, k)];
+                }
+            }
+        }
+        let w_next = Mat::from_fn(w.rows(), w.cols(), |o, k| w[(o, k)] - gw[(o, k)]);
+        let b_next = layer.bias().iter().zip(&gb).map(|(b, g)| b - g).collect();
+        stepped.push((w_next, b_next));
+        g = gin;
+    }
+    stepped.reverse();
+    (g, stepped)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -31,12 +100,13 @@ proptest! {
         seed in 0u64..1000,
     ) {
         let mut mlp = Mlp::new(&[3, 8, 2], Activation::Tanh, seed);
-        let pred = mlp.forward(&x);
-        let (_, grad) = mse_loss_grad(&pred, &y);
+        let mut ws = Workspace::new();
+        let mut grad = Mat::default();
+        mse_loss_grad_into(mlp.forward_ws(&x, &mut ws), &y, &mut grad);
         mlp.zero_grad();
-        let gi = mlp.backward(&grad);
+        let gi = mlp.backward_ws(&grad, &mut ws, true).clone();
 
-        let loss_of = |m: &Mlp, xx: &Mat| mse_loss(&m.forward_inference(xx), &y);
+        let loss_of = |m: &Mlp, xx: &Mat| mse_loss(&forward_fresh(m, xx), &y);
         let h = 1e-6;
         for s in 0..2 {
             for j in 0..3 {
@@ -53,13 +123,16 @@ proptest! {
         }
     }
 
-    /// Inference and training forward passes agree exactly.
+    /// A batch pass and row-by-row `predict` calls agree exactly: each
+    /// input row is computed independently, which is what lets
+    /// near-sampling split its ranking batch across workers.
     #[test]
     fn forward_modes_agree(x in small_batch(3, 4), seed in 0u64..1000) {
-        let mut mlp = Mlp::new(&[4, 6, 2], Activation::Relu, seed);
-        let a = mlp.forward(&x);
-        let b = mlp.forward_inference(&x);
-        prop_assert_eq!(a, b);
+        let mlp = Mlp::new(&[4, 6, 2], Activation::Relu, seed);
+        let batch = forward_fresh(&mlp, &x);
+        for s in 0..x.rows() {
+            prop_assert_eq!(slice_bits(&mlp.predict(x.row(s))), slice_bits(batch.row(s)));
+        }
     }
 
     /// A tanh-output network is bounded regardless of input magnitude.
@@ -83,18 +156,19 @@ proptest! {
         prop_assert_eq!(mse_loss(&a, &a), 0.0);
     }
 
-    /// Scaler: transform ∘ inverse_transform is the identity on the data it
-    /// was fitted to.
+    /// Scaler: transform then inverse transform is the identity on the
+    /// data it was fitted to.
     #[test]
     fn scaler_roundtrip(data in small_batch(5, 3)) {
         let scaler = maopt_nn::MinMaxScaler::fit(&data);
-        let there = scaler.transform(&data);
-        let back = scaler.inverse_transform(&there);
-        for (orig, round) in data.as_slice().iter().zip(back.as_slice()) {
-            prop_assert!((orig - round).abs() < 1e-10);
-        }
+        let mut there = Mat::default();
+        scaler.transform_into(&data, &mut there);
         // Fitted data lands in the unit box.
         prop_assert!(there.as_slice().iter().all(|&v| (-1e-12..=1.0 + 1e-12).contains(&v)));
+        scaler.inverse_transform_inplace(&mut there);
+        for (orig, round) in data.as_slice().iter().zip(there.as_slice()) {
+            prop_assert!((orig - round).abs() < 1e-10);
+        }
     }
 
     /// Gradient accumulation: two backward passes accumulate exactly twice
@@ -109,24 +183,25 @@ proptest! {
         let orig = Mlp::new(&[2, 4, 1], Activation::Tanh, seed);
         let mut a = orig.clone();
         let mut b = orig.clone();
+        let mut ws = Workspace::new();
         let grad_out = Mat::filled(2, 1, 0.3);
-        let sgd = maopt_nn::Sgd::new(1.0);
+        let sgd = Sgd::new(1.0);
 
-        a.forward(&x);
+        a.forward_ws(&x, &mut ws);
         a.zero_grad();
-        a.backward(&grad_out);
+        a.backward_ws(&grad_out, &mut ws, true);
         sgd.step(&mut a);
 
-        b.forward(&x);
+        b.forward_ws(&x, &mut ws);
         b.zero_grad();
-        b.backward(&grad_out);
+        b.backward_ws(&grad_out, &mut ws, true);
         // No step in between, so the second pass adds the same gradient.
-        b.forward(&x);
-        b.backward(&grad_out);
+        b.forward_ws(&x, &mut ws);
+        b.backward_ws(&grad_out, &mut ws, true);
         sgd.step(&mut b);
 
         for ((lo, la), lb) in orig.layers().iter().zip(a.layers()).zip(b.layers()) {
-            let params = |l: &maopt_nn::Dense| {
+            let params = |l: &Dense| {
                 l.weights().as_slice().to_vec().into_iter().chain(l.bias().to_vec())
             };
             for ((po, pa), pb) in params(lo).zip(params(la)).zip(params(lb)) {
@@ -140,97 +215,110 @@ proptest! {
         }
     }
 
-    /// The workspace forward/backward paths are bitwise identical to the
-    /// allocating ones: outputs, input gradients, and (via an SGD step
-    /// with lr 1, since gradients are private) parameter gradients. Run
-    /// twice over the same workspace so the buffer-reuse path is covered
-    /// too.
+    /// The workspace pass is bitwise identical to the naive reference
+    /// (itself an allocating pass): outputs, input gradients and (via an
+    /// SGD step with lr 1, since gradients are private) parameter
+    /// gradients. Two rounds over one workspace cover the buffer-reuse
+    /// path. ReLU networks exercise the `dz == 0` skip, and the 2- and
+    /// 3-layer networks both directions of the ping-pong gradient buffers.
     #[test]
     fn workspace_paths_match_allocating_paths_bitwise(
         x in small_batch(3, 4),
-        y in small_batch(3, 2),
+        grad_out in small_batch(3, 2),
         seed in 0u64..1000,
+        act in 0usize..4,
+        deep in 0usize..2,
     ) {
-        let orig = Mlp::new(&[4, 6, 2], Activation::Tanh, seed);
-        let mut a = orig.clone();
-        let mut b = orig.clone();
+        let widths: &[usize] = if deep == 1 { &[4, 6, 5, 2] } else { &[4, 6, 2] };
+        let mut net = Mlp::new(widths, ACTIVATIONS[act], seed);
         let mut ws = Workspace::new();
-        let sgd = maopt_nn::Sgd::new(1.0);
+        let sgd = Sgd::new(1.0);
 
         for round in 0..2 {
-            let pa = a.forward(&x);
-            let pb = b.forward_ws(&x, &mut ws).clone();
-            prop_assert_eq!(mat_bits(&pa), mat_bits(&pb), "forward, round {}", round);
-            prop_assert_eq!(
-                mat_bits(&b.forward_inference(&x)),
-                mat_bits(&pb),
-                "forward_inference, round {}", round
-            );
+            let acts = naive_forward(&net, &x);
+            let out = net.forward_ws(&x, &mut ws);
+            prop_assert_eq!(mat_bits(out), mat_bits(&acts[acts.len() - 1]), "forward, round {}", round);
 
-            let (_, grad) = mse_loss_grad(&pa, &y);
-            a.zero_grad();
-            b.zero_grad();
-            let gia = a.backward(&grad);
-            let gib = b.backward_ws(&grad, &mut ws, true).clone();
-            prop_assert_eq!(mat_bits(&gia), mat_bits(&gib), "input grad, round {}", round);
-
-            sgd.step(&mut a);
-            sgd.step(&mut b);
-            for (la, lb) in a.layers().iter().zip(b.layers()) {
-                prop_assert_eq!(mat_bits(la.weights()), mat_bits(lb.weights()));
-                prop_assert_eq!(slice_bits(la.bias()), slice_bits(lb.bias()));
+            let (gin, stepped) = naive_backward(&net, &acts, &grad_out);
+            net.zero_grad();
+            let gi = net.backward_ws(&grad_out, &mut ws, true);
+            prop_assert_eq!(mat_bits(gi), mat_bits(&gin), "input grad, round {}", round);
+            sgd.step(&mut net);
+            for (layer, (w, b)) in net.layers().iter().zip(&stepped) {
+                prop_assert_eq!(mat_bits(layer.weights()), mat_bits(w), "weights, round {}", round);
+                prop_assert_eq!(slice_bits(layer.bias()), slice_bits(b), "bias, round {}", round);
             }
         }
     }
 
-    /// Frozen-network mode: `backward_ws(…, false)` matches
-    /// `backward_input_only` bitwise and leaves parameters untouched.
+    /// Frozen-network mode: `backward_ws(…, false)` yields the naive
+    /// reference's input gradient bit for bit and accumulates no parameter
+    /// gradient, so a following SGD step leaves the parameters untouched.
+    /// It runs after an accumulating pass over the same workspace, so the
+    /// frozen pass also reuses dirty buffers.
     #[test]
     fn workspace_frozen_backward_matches_input_only(
-        x in small_batch(2, 3),
-        grad in small_batch(2, 2),
+        x in small_batch(3, 4),
+        grad_out in small_batch(3, 2),
         seed in 0u64..1000,
+        act in 0usize..4,
+        deep in 0usize..2,
     ) {
-        let orig = Mlp::new(&[3, 5, 2], Activation::Relu, seed);
-        let mut a = orig.clone();
-        let mut b = orig.clone();
+        let widths: &[usize] = if deep == 1 { &[4, 6, 5, 2] } else { &[4, 6, 2] };
+        let mut net = Mlp::new(widths, ACTIVATIONS[act], seed);
         let mut ws = Workspace::new();
+        let sgd = Sgd::new(1.0);
 
-        a.forward(&x);
-        let gia = a.backward_input_only(&grad);
-        b.forward_ws(&x, &mut ws);
-        let gib = b.backward_ws(&grad, &mut ws, false).clone();
-        prop_assert_eq!(mat_bits(&gia), mat_bits(&gib));
+        for round in 0..2 {
+            // Accumulating pass and step, to dirty the buffers and move
+            // the parameters between rounds.
+            net.forward_ws(&x, &mut ws);
+            net.zero_grad();
+            net.backward_ws(&grad_out, &mut ws, true);
+            sgd.step(&mut net);
 
-        // No parameter gradients were accumulated: an SGD step is a no-op.
-        let sgd = maopt_nn::Sgd::new(1.0);
-        sgd.step(&mut b);
-        for (lo, lb) in orig.layers().iter().zip(b.layers()) {
-            prop_assert_eq!(mat_bits(lo.weights()), mat_bits(lb.weights()));
-            prop_assert_eq!(slice_bits(lo.bias()), slice_bits(lb.bias()));
+            let frozen = net.clone();
+            let acts = naive_forward(&net, &x);
+            net.forward_ws(&x, &mut ws);
+            let (gin, _) = naive_backward(&net, &acts, &grad_out);
+            net.zero_grad();
+            let gi = net.backward_ws(&grad_out, &mut ws, false);
+            prop_assert_eq!(mat_bits(gi), mat_bits(&gin), "frozen input grad, round {}", round);
+            sgd.step(&mut net);
+            for (layer, orig) in net.layers().iter().zip(frozen.layers()) {
+                prop_assert_eq!(mat_bits(layer.weights()), mat_bits(orig.weights()));
+                prop_assert_eq!(slice_bits(layer.bias()), slice_bits(orig.bias()));
+            }
         }
     }
 
-    /// The `_into` loss and scaler variants are bitwise identical to their
-    /// allocating counterparts, including over dirty reused buffers.
+    /// The `_into` loss and scaler variants write the same bits into a
+    /// dirty, wrongly-shaped reused buffer as into a freshly allocated
+    /// one, and agree with the scalar helpers they are built from.
     #[test]
     fn into_variants_match_allocating_bitwise(
         pred in small_batch(3, 2),
         target in small_batch(3, 2),
     ) {
-        let (loss, grad) = mse_loss_grad(&pred, &target);
+        let mut grad = Mat::default();
+        let loss = mse_loss_grad_into(&pred, &target, &mut grad);
         let mut grad_buf = Mat::from_rows(&[&[9.9; 5]]); // dirty, wrong shape
         let loss_into = mse_loss_grad_into(&pred, &target, &mut grad_buf);
+        prop_assert_eq!(loss.to_bits(), mse_loss(&pred, &target).to_bits());
         prop_assert_eq!(loss.to_bits(), loss_into.to_bits());
         prop_assert_eq!(mat_bits(&grad), mat_bits(&grad_buf));
 
         let scaler = maopt_nn::MinMaxScaler::fit(&pred);
-        let scaled = scaler.transform(&pred);
+        let scaled = Mat::from_fn(pred.rows(), pred.cols(), |i, j| {
+            scaler.transform_value(pred[(i, j)], j)
+        });
         let mut scaled_buf = Mat::from_rows(&[&[-7.0; 4]]);
         scaler.transform_into(&pred, &mut scaled_buf);
         prop_assert_eq!(mat_bits(&scaled), mat_bits(&scaled_buf));
 
-        let back = scaler.inverse_transform(&scaled);
+        let back = Mat::from_fn(pred.rows(), pred.cols(), |i, j| {
+            scaler.inverse_value(scaled[(i, j)], j)
+        });
         scaler.inverse_transform_inplace(&mut scaled_buf);
         prop_assert_eq!(mat_bits(&back), mat_bits(&scaled_buf));
     }

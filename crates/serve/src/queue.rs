@@ -302,7 +302,7 @@ impl JobQueue {
     }
 
     /// The generation store rotating manifest commits beside `path`
-    /// (`queue.bin.0001.bin`, …, newest [`MANIFEST_KEEP`] retained; a
+    /// (`queue.bin.0001.bin`, …, newest `MANIFEST_KEEP` = 4 retained; a
     /// bare pre-rotation `path` still loads as generation 0).
     pub fn manifest_store(path: &Path) -> GenStore {
         GenStore::new(path, QUEUE_MAGIC, QUEUE_VERSION).with_keep(MANIFEST_KEEP)
