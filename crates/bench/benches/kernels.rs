@@ -64,6 +64,17 @@ fn bench_linalg_kernels(c: &mut Criterion) {
         b_.iter(|| kernels::matmul_into(black_box(&a), black_box(&b), &mut out))
     });
 
+    // `x · Wᵀ` at the paper's critic layer shapes: batch 32 through a
+    // 100→100 hidden layer, and through a 100-input layer of 32 units.
+    // This is the product every `Dense` forward runs.
+    for (rows, outs) in [(32, 100), (32, 32)] {
+        let x = seq_mat(rows, 100, 0.9);
+        let w = seq_mat(outs, 100, -1.1);
+        group.bench_function(format!("matmul_nt_into/{rows}x{outs}x100"), |b_| {
+            b_.iter(|| kernels::matmul_nt_into(black_box(&x), black_box(&w), &mut out))
+        });
+    }
+
     let x: Vec<f64> = (0..100).map(|i| (i as f64 * 0.11).cos()).collect();
     let mut vout = Vec::new();
     group.bench_function("matvec_into/100x100", |b_| {

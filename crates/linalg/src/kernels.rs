@@ -1,26 +1,32 @@
 //! Allocation-free dense kernels with a fixed reduction order.
 //!
 //! These are the hot inner loops of the neural-network stack: every
-//! `Dense` forward/backward and every batched critic prediction bottoms
-//! out here. Two contracts hold for every kernel in this module:
+//! `Dense` forward ([`matmul_nt_into`]) and backward ([`axpy`]) and
+//! every batched critic prediction bottoms out here. Two contracts hold
+//! for every kernel in this module:
 //!
 //! 1. **Caller-owned outputs.** `_into` kernels write into buffers the
 //!    caller provides and never allocate, so a training step that reuses
 //!    its buffers performs zero heap allocations after warm-up.
-//! 2. **Fixed reduction order.** Every reduction accumulates strictly
-//!    left-to-right into a single accumulator — the same order as the
-//!    naive scalar loop (and as `Iterator::sum`, which folds
-//!    sequentially). Loop unrolling only widens the *body*, never splits
-//!    the accumulator, so results are bitwise identical to the
-//!    allocating counterparts. This is what keeps run journals
-//!    reproducible bit-for-bit at any parallelism or buffering level.
+//! 2. **Fixed reduction order.** Every output element is reduced by one
+//!    accumulator, strictly in ascending index order — the order of the
+//!    naive scalar loop (and of `Iterator::sum`, which folds
+//!    sequentially). Tiling and unrolling only choose *which* element is
+//!    worked on next and widen the loop body; no kernel ever splits one
+//!    element's reduction. Each result is therefore bitwise identical to
+//!    that scalar loop (for a dot product: [`dot`] on the two rows),
+//!    which is what keeps run journals reproducible bit-for-bit at any
+//!    parallelism, tiling or buffering level. No kernel uses fused
+//!    multiply-add: one rounding per product and one per sum.
 //!
-//! Zero-skip fast paths (`0.0 * x` contributions are not added) are kept
-//! from the original implementations: they are bitwise-neutral for
-//! finite operands, but would silently launder `0.0 * NaN` or
-//! `0.0 * ∞` to zero. Debug builds therefore assert that skipped
-//! operands are finite, surfacing poisoned inputs instead of masking
-//! them.
+//! Zero-skip fast paths (`0.0 * x` contributions are not added) remain
+//! only in [`matmul_into`] and [`matvec_transposed_into`], kept from the
+//! seed implementations: they are bitwise-neutral for finite operands,
+//! but would silently launder `0.0 * NaN` or `0.0 * ∞` to zero. Debug
+//! builds therefore assert that skipped operands are finite, surfacing
+//! poisoned inputs instead of masking them. [`dot`] and
+//! [`matmul_nt_into`] never skip, so a non-finite operand always reaches
+//! the result.
 
 use crate::Mat;
 
@@ -73,8 +79,9 @@ pub fn dot(a: &[f64], b: &[f64]) -> f64 {
 
 /// `y += alpha * x`, element-wise (AXPY on slices).
 ///
-/// Each element is updated independently, so the unrolled body is
-/// bitwise identical to the scalar loop.
+/// A plain `zip` loop: each element is updated by itself, so there is
+/// no reduction order to keep, and without index arithmetic the loop
+/// carries no bounds checks and vectorizes.
 ///
 /// # Panics
 ///
@@ -82,18 +89,80 @@ pub fn dot(a: &[f64], b: &[f64]) -> f64 {
 #[inline]
 pub fn axpy(y: &mut [f64], alpha: f64, x: &[f64]) {
     assert_eq!(y.len(), x.len(), "axpy length mismatch");
-    let n = y.len();
-    let mut i = 0;
-    while i + 4 <= n {
-        y[i] += alpha * x[i];
-        y[i + 1] += alpha * x[i + 1];
-        y[i + 2] += alpha * x[i + 2];
-        y[i + 3] += alpha * x[i + 3];
-        i += 4;
+    for (yi, &xi) in y.iter_mut().zip(x) {
+        *yi += alpha * xi;
     }
-    while i < n {
-        y[i] += alpha * x[i];
-        i += 1;
+}
+
+/// Side of the square output tile of [`matmul_nt_into`].
+///
+/// A 4×4 tile is 16 accumulators, 8 SSE2 registers of two `f64` each;
+/// the 4 broadcast `a` values and the 2 packed `b` pairs of one `k` step
+/// bring the working set to 14 of the 16 `xmm` registers of the x86-64
+/// baseline. A 4×8 tile needs 16 registers for the accumulators alone
+/// and spills.
+const TILE: usize = 4;
+
+/// `a · bᵀ` written into `out` (resized by the kernel, reusing its
+/// capacity): `out[i][j] = dot(a.row(i), b.row(j))`.
+///
+/// Both operands are read row-wise, so a layer's out×in weight matrix
+/// is used as stored, without a transposed copy. The output is computed
+/// in `4×4` blocks, each as 16 independent scalar accumulator chains;
+/// independent chains hide the add latency that a single [`dot`] chain
+/// is bound by. Each chain starts at `-0.0`, adds `a[i][k] * b[j][k]` in
+/// strictly ascending `k`, never skips a zero and never fuses the
+/// multiply and add, so every element is bitwise identical to
+/// `dot(a.row(i), b.row(j))`. Rows and columns left over past the last
+/// full block are computed by [`dot`] itself. With `a.cols() == 0` every
+/// element is `-0.0`.
+///
+/// # Panics
+///
+/// Panics if `a.cols() != b.cols()`.
+pub fn matmul_nt_into(a: &Mat, b: &Mat, out: &mut Mat) {
+    assert_eq!(
+        a.cols(),
+        b.cols(),
+        "matmul_nt dimension mismatch: {}x{} * ({}x{})ᵀ",
+        a.rows(),
+        a.cols(),
+        b.rows(),
+        b.cols()
+    );
+    let (m, n, k) = (a.rows(), b.rows(), a.cols());
+    out.resize_reset(m, n);
+    let (m_full, n_full) = (m - m % TILE, n - n % TILE);
+    for ib in (0..m_full).step_by(TILE) {
+        // Rows sliced to exactly `k` let the compiler drop the bounds
+        // checks on `kk` below, which keeps the tile loop vectorized.
+        let ar: [&[f64]; TILE] = std::array::from_fn(|r| &a.row(ib + r)[..k]);
+        for jb in (0..n_full).step_by(TILE) {
+            let br: [&[f64]; TILE] = std::array::from_fn(|c| &b.row(jb + c)[..k]);
+            let mut acc = [[-0.0f64; TILE]; TILE];
+            for kk in 0..k {
+                let av: [f64; TILE] = std::array::from_fn(|r| ar[r][kk]);
+                let bv: [f64; TILE] = std::array::from_fn(|c| br[c][kk]);
+                for (acc_row, &ai) in acc.iter_mut().zip(&av) {
+                    for (acc_ij, &bj) in acc_row.iter_mut().zip(&bv) {
+                        *acc_ij += ai * bj;
+                    }
+                }
+            }
+            for (r, acc_row) in acc.iter().enumerate() {
+                out.row_mut(ib + r)[jb..jb + TILE].copy_from_slice(acc_row);
+            }
+        }
+        for (r, a_row) in ar.iter().enumerate() {
+            for j in n_full..n {
+                out[(ib + r, j)] = dot(a_row, b.row(j));
+            }
+        }
+    }
+    for i in m_full..m {
+        for j in 0..n {
+            out[(i, j)] = dot(a.row(i), b.row(j));
+        }
     }
 }
 

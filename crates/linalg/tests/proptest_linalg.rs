@@ -111,6 +111,56 @@ fn ragged_case() -> impl Strategy<Value = (Mat, Mat, Vec<f64>)> {
         })
 }
 
+/// Reference `a · bᵀ`: one accumulator per element, starting at `-0.0`
+/// and adding `a[i][k] * b[j][k]` in ascending `k` with no zero-skip.
+/// Written out here so it shares no code with the tiled kernel.
+fn reference_matmul_nt(a: &Mat, b: &Mat) -> Mat {
+    let mut out = Mat::zeros(a.rows(), b.rows());
+    for i in 0..a.rows() {
+        for j in 0..b.rows() {
+            let mut acc = -0.0;
+            for k in 0..a.cols() {
+                acc += a[(i, k)] * b[(j, k)];
+            }
+            out[(i, j)] = acc;
+        }
+    }
+    out
+}
+
+/// Strategy: an `m×k` / `n×k` pair for `a · bᵀ`. `m` and `n` straddle the
+/// 4×4 tile (full tiles, ragged remainders, and 0 or 1), `k` includes 0.
+/// Entries are mixed with `+0.0` and `-0.0` so signed-zero products and
+/// sums of zeros take part in every reduction.
+fn nt_case() -> impl Strategy<Value = (Mat, Mat)> {
+    const MAX_M: usize = 11;
+    const MAX_N: usize = 14;
+    const MAX_K: usize = 9;
+    let entries = |len: usize| prop::collection::vec((-10.0f64..10.0, 0usize..6), len);
+    (
+        0usize..MAX_M + 1,
+        0usize..MAX_N + 1,
+        0usize..MAX_K + 1,
+        entries(MAX_M * MAX_K),
+        entries(MAX_N * MAX_K),
+    )
+        .prop_map(|(m, n, k, da, db)| {
+            let signed_zeros = |data: &[(f64, usize)]| -> Vec<f64> {
+                data.iter()
+                    .map(|&(v, pick)| match pick {
+                        0 => 0.0,
+                        1 => -0.0,
+                        _ => v,
+                    })
+                    .collect()
+            };
+            (
+                Mat::from_vec(m, k, signed_zeros(&da[..m * k])),
+                Mat::from_vec(n, k, signed_zeros(&db[..n * k])),
+            )
+        })
+}
+
 proptest! {
     #[test]
     fn lu_solution_satisfies_system(a in well_conditioned(6), b in rhs(6)) {
@@ -245,6 +295,25 @@ proptest! {
         prop_assert_eq!(bits(&vt), bits(&reference_matvec_transposed(&a, &xt)));
     }
 
+    /// The register-tiled `a · bᵀ` kernel must match the naive
+    /// `-0.0`-start, ascending-`k`, no-skip loop bit for bit on every
+    /// shape, through a dirty reused output buffer. With `k = 0` every
+    /// element is the empty sum `-0.0`.
+    #[test]
+    fn matmul_nt_bitwise_matches_naive_loop(case in nt_case()) {
+        let (a, b) = case;
+        let mut out = Mat::from_rows(&[&[7.5; 5]]);
+        maopt_linalg::kernels::matmul_nt_into(&a, &b, &mut out);
+        prop_assert_eq!((out.rows(), out.cols()), (a.rows(), b.rows()));
+        prop_assert_eq!(
+            bits(out.as_slice()),
+            bits(reference_matmul_nt(&a, &b).as_slice())
+        );
+        if a.cols() == 0 {
+            prop_assert!(out.as_slice().iter().all(|v| v.to_bits() == (-0.0f64).to_bits()));
+        }
+    }
+
     /// `dot` must fold exactly like `Iterator::sum` despite unrolling.
     #[test]
     fn dot_matches_iterator_sum(
@@ -283,4 +352,40 @@ proptest! {
         // Conjugate distributes over multiplication
         prop_assert!(((a * b).conj() - a.conj() * b.conj()).abs() < 1e-9);
     }
+}
+
+/// A NaN in `b` facing a `0.0` in `a` must reach the output: the kernel
+/// has no zero-skip, so `0.0 * NaN` is added like any other product.
+/// Both a full 4×4 tile and the ragged `dot` edges are covered.
+#[test]
+fn matmul_nt_propagates_nan_behind_zero() {
+    let a = Mat::from_fn(5, 3, |i, k| if k == 1 { 0.0 } else { 1.0 + i as f64 });
+    let mut b = Mat::from_fn(6, 3, |j, k| 0.25 * (j + k) as f64);
+    b[(2, 1)] = f64::NAN;
+    b[(5, 1)] = f64::NAN;
+    let mut out = Mat::default();
+    maopt_linalg::kernels::matmul_nt_into(&a, &b, &mut out);
+    for i in 0..5 {
+        for j in 0..6 {
+            assert_eq!(
+                out[(i, j)].is_nan(),
+                j == 2 || j == 5,
+                "out[{i}][{j}] = {}",
+                out[(i, j)]
+            );
+        }
+    }
+}
+
+/// With an empty reduction (`k = 0`) every element, tiled or ragged, is
+/// the empty sum `-0.0`.
+#[test]
+fn matmul_nt_empty_reduction_is_negative_zero() {
+    let mut out = Mat::from_rows(&[&[1.0; 3]]);
+    maopt_linalg::kernels::matmul_nt_into(&Mat::zeros(5, 0), &Mat::zeros(6, 0), &mut out);
+    assert_eq!((out.rows(), out.cols()), (5, 6));
+    assert!(out
+        .as_slice()
+        .iter()
+        .all(|v| v.to_bits() == (-0.0f64).to_bits()));
 }

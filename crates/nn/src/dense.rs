@@ -1,4 +1,4 @@
-use maopt_linalg::kernels::{axpy, debug_assert_finite, dot};
+use maopt_linalg::kernels::{axpy, debug_assert_finite, matmul_nt_into};
 use maopt_linalg::Mat;
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -65,7 +65,9 @@ impl Dense {
 
     /// Forward pass over a batch (rows = samples): `out = act(x·Wᵀ + b)`,
     /// with `out` resized in place, so nothing is allocated once it is
-    /// warm.
+    /// warm. The product is one [`matmul_nt_into`] call over the out×in
+    /// weights as stored; it has no zero-skip, so a non-finite weight or
+    /// input always reaches the output.
     ///
     /// # Panics
     ///
@@ -76,12 +78,10 @@ impl Dense {
             self.weights.cols(),
             "dense layer input width mismatch"
         );
-        out.resize_reset(x.rows(), self.outputs());
-        for s in 0..x.rows() {
-            let row = x.row(s);
-            for o in 0..self.outputs() {
-                let z = dot(self.weights.row(o), row) + self.bias[o];
-                out[(s, o)] = self.activation.apply(z);
+        matmul_nt_into(x, &self.weights, out);
+        for s in 0..out.rows() {
+            for (z, &b) in out.row_mut(s).iter_mut().zip(&self.bias) {
+                *z = self.activation.apply(*z + b);
             }
         }
     }
@@ -225,6 +225,34 @@ mod tests {
         let y = forward_pass(&layer, &x);
         let expected = layer.weights()[(0, 0)] + 2.0 * layer.weights()[(0, 1)];
         assert!((y[(0, 0)] - expected).abs() < 1e-15);
+    }
+
+    /// The forward product must not skip zero inputs: `0.0 * NaN` is
+    /// NaN, and a poisoned weight has to surface rather than be
+    /// laundered by a fast path.
+    #[test]
+    fn forward_surfaces_nan_weight_behind_zero_input() {
+        let mut layer = seeded(5, 6, Activation::Identity, 4);
+        layer.weights[(1, 2)] = f64::NAN;
+        layer.weights[(5, 0)] = f64::NAN;
+        let x = Mat::from_fn(5, 5, |s, i| {
+            if i == 2 || i == 0 {
+                0.0
+            } else {
+                0.5 + s as f64
+            }
+        });
+        let y = forward_pass(&layer, &x);
+        for s in 0..5 {
+            for o in 0..6 {
+                assert_eq!(
+                    y[(s, o)].is_nan(),
+                    o == 1 || o == 5,
+                    "y[{s}][{o}] = {}",
+                    y[(s, o)]
+                );
+            }
+        }
     }
 
     #[test]
