@@ -74,12 +74,6 @@ fn bench_linalg_kernels(c: &mut Criterion) {
             b_.iter(|| kernels::matmul_nt_into(black_box(&x), black_box(&w), &mut out))
         });
     }
-
-    let x: Vec<f64> = (0..100).map(|i| (i as f64 * 0.11).cos()).collect();
-    let mut vout = Vec::new();
-    group.bench_function("matvec_into/100x100", |b_| {
-        b_.iter(|| kernels::matvec_into(black_box(&b), black_box(&x), &mut vout))
-    });
     group.finish();
 }
 
@@ -140,7 +134,7 @@ fn bench_critic(c: &mut Criterion) {
     group.finish();
 }
 
-/// The register-tiled GEMM paths at 96×96 — exactly 24 row blocks by
+/// The register-tiled GEMM at 96×96 — exactly 24 row blocks by
 /// 12 column blocks, so steady-state tile throughput dominates; ragged
 /// edges are exercised by the 100-column `kernels` group above.
 fn bench_gemm_tiled(c: &mut Criterion) {
@@ -152,12 +146,6 @@ fn bench_gemm_tiled(c: &mut Criterion) {
     let mut out = Mat::default();
     group.bench_function("matmul_into/96x96x96", |b_| {
         b_.iter(|| kernels::matmul_into(black_box(&a), black_box(&b), &mut out))
-    });
-
-    let xt: Vec<f64> = (0..96).map(|i| (i as f64 * 0.17).sin()).collect();
-    let mut vt = Vec::new();
-    group.bench_function("matvec_t_into/96x96", |b_| {
-        b_.iter(|| kernels::matvec_transposed_into(black_box(&a), black_box(&xt), &mut vt))
     });
     group.finish();
 }

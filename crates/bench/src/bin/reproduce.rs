@@ -50,7 +50,9 @@ use maopt_circuits::{LdoRegulator, ThreeStageTia, TwoStageOta};
 use maopt_core::chaos::{ChaosConfig, ChaoticProblem};
 use maopt_core::runner::{make_initial_sets_nested, run_method_resumable, MethodStats};
 use maopt_core::{RunCheckpointer, SizingProblem};
-use maopt_exec::{EvalEngine, FaultPolicy, MetricSnapshot, SimCache, Telemetry, TraceRecorder};
+use maopt_exec::{
+    EvalEngine, FaultPolicy, MetricSnapshot, SimCache, SpanStat, Telemetry, TraceRecorder,
+};
 use maopt_obs::{EngineRecord, Journal, Record};
 use maopt_serve::{install_signal_flag, signal_flag};
 
@@ -190,7 +192,6 @@ fn chaos_policy() -> FaultPolicy {
     FaultPolicy {
         max_retries: 2,
         deadline: Some(Duration::from_millis(250)),
-        ..FaultPolicy::default()
     }
 }
 
@@ -297,7 +298,7 @@ fn run_circuit(
             }
             None => Vec::new(),
         };
-        let spans_before = engine.telemetry().spans();
+        let spans_before = engine.telemetry().span_stats();
         let newton_before = newton_iters_totals(&engine);
         let t0 = Instant::now();
         let stats = run_method_resumable(
@@ -486,21 +487,22 @@ fn write_engine_record(
     dir: &Path,
     method: &str,
     engine: &EvalEngine,
-    spans_before: &[(String, Duration)],
+    spans_before: &[SpanStat],
     stats: &MethodStats,
 ) {
     let before: std::collections::BTreeMap<&str, Duration> = spans_before
         .iter()
-        .map(|(name, d)| (name.as_str(), *d))
+        .map(|s| (s.name.as_str(), s.total))
         .collect();
     let spans: Vec<(String, f64)> = engine
         .telemetry()
-        .spans()
+        .span_stats()
         .into_iter()
-        .filter_map(|(name, total)| {
-            let delta =
-                total.saturating_sub(before.get(name.as_str()).copied().unwrap_or_default());
-            (delta > Duration::ZERO).then_some((name, delta.as_secs_f64()))
+        .filter_map(|s| {
+            let delta = s
+                .total
+                .saturating_sub(before.get(s.name.as_str()).copied().unwrap_or_default());
+            (delta > Duration::ZERO).then_some((s.name, delta.as_secs_f64()))
         })
         .collect();
     match Journal::create(dir.join("engine.jsonl")) {

@@ -39,8 +39,6 @@ mod gp;
 
 pub use gp::GaussianProcess;
 
-use std::time::Instant;
-
 use maopt_exec::EvalEngine;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -116,7 +114,7 @@ impl Optimizer for BoOptimizer {
         seed: u64,
         engine: &EvalEngine,
     ) -> RunResult {
-        let t_start = Instant::now();
+        let run_span = engine.telemetry().span("run");
         let mut timings = RunTimings::default();
         let specs = problem.specs().to_vec();
         let d = problem.dim();
@@ -133,27 +131,26 @@ impl Optimizer for BoOptimizer {
         for _ in 0..budget {
             // Fit the GP to (designs, FoM) — the O(N³) step the paper
             // calls out.
-            let t0 = Instant::now();
+            let span = engine.telemetry().span("bo_fit");
             let xs: Vec<Vec<f64>> = (0..pop.len()).map(|i| pop.design(i).to_vec()).collect();
             let ys: Vec<f64> = pop.foms().to_vec();
             let gp = GaussianProcess::fit(xs, ys);
             let best = pop.foms().iter().copied().fold(f64::INFINITY, f64::min);
+            timings.training += span.end();
 
             // Maximize EI over random candidates. All candidates come from
             // one serial RNG stream; the independent per-candidate EI
             // scores are computed on the engine's pool and reduced with a
             // first-index-wins scan, so the chosen candidate is identical
             // for any worker count.
+            let span = engine.telemetry().span("bo_acquisition");
             let candidates: Vec<Vec<f64>> = (0..self.n_candidates)
                 .map(|_| (0..d).map(|_| rng.random_range(0.0..1.0)).collect())
                 .collect();
-            let eis: Vec<f64> = {
-                let _span = engine.telemetry().span("bo_acquisition");
-                engine.map((0..candidates.len()).collect(), |_, k: usize| {
-                    let (mean, var) = gp.predict(&candidates[k]);
-                    expected_improvement(mean, var, best, self.xi)
-                })
-            };
+            let eis: Vec<f64> = engine.map((0..candidates.len()).collect(), |_, k: usize| {
+                let (mean, var) = gp.predict(&candidates[k]);
+                expected_improvement(mean, var, best, self.xi)
+            });
             let mut best_k = 0;
             for (k, &ei) in eis.iter().enumerate() {
                 if ei > eis[best_k] {
@@ -164,14 +161,11 @@ impl Optimizer for BoOptimizer {
                 .into_iter()
                 .nth(best_k)
                 .expect("candidate set is non-empty");
-            timings.training += t0.elapsed();
+            timings.training += span.end();
 
-            let t0 = Instant::now();
-            let metrics = {
-                let _span = engine.telemetry().span("simulation");
-                engine.evaluate_one(&sim_target, &cand)
-            };
-            timings.simulation += t0.elapsed();
+            let span = engine.telemetry().span("simulation");
+            let metrics = engine.evaluate_one(&sim_target, &cand);
+            timings.simulation += span.end();
 
             let idx = pop.push(cand, metrics, &specs, self.fom);
             trace.record(
@@ -182,7 +176,7 @@ impl Optimizer for BoOptimizer {
             );
         }
 
-        timings.total = t_start.elapsed();
+        timings.total = run_span.end();
         RunResult {
             label: self.name(),
             trace,

@@ -2,14 +2,14 @@
 //! particle swarm optimization (ref. \[7\]), differential evolution
 //! (ref. \[8\]) and plain random search. All three implement
 //! [`crate::runner::Optimizer`], so they slot into the experiment harness
-//! next to BO and the RL-inspired methods. They simulate serially on the
-//! calling thread and ignore the engine they are handed.
+//! next to BO and the RL-inspired methods. They simulate one design at a
+//! time through the engine they are handed, so its fault isolation,
+//! cache and counters apply, and time the run with the same `run` and
+//! `simulation` spans as the other methods.
 //!
 //! The paper's §I argument against these population methods is their *low
 //! convergence rate* at small simulation budgets — easily verified here by
 //! adding them to a comparison (see the `compare_methods` example).
-
-use std::time::Instant;
 
 use maopt_exec::EvalEngine;
 use rand::rngs::StdRng;
@@ -18,9 +18,23 @@ use rand::{Rng, SeedableRng};
 use crate::fom::FomConfig;
 use crate::maopt::{RunResult, RunTimings};
 use crate::population::Population;
-use crate::problem::SizingProblem;
+use crate::problem::{EngineProblem, SizingProblem};
 use crate::runner::Optimizer;
 use crate::trace::{SimKind, Trace};
+
+/// Simulates one design on `engine` inside a `simulation` span, adding
+/// the span's duration to `timings.simulation`.
+fn simulate(
+    engine: &EvalEngine,
+    problem: &dyn SizingProblem,
+    x: &[f64],
+    timings: &mut RunTimings,
+) -> Vec<f64> {
+    let span = engine.telemetry().span("simulation");
+    let metrics = engine.evaluate_one(&EngineProblem(problem), x);
+    timings.simulation += span.end();
+    metrics
+}
 
 /// Uniform random search over the design box — the floor any optimizer
 /// must beat.
@@ -45,9 +59,9 @@ impl Optimizer for RandomSearch {
         init: &[(Vec<f64>, Vec<f64>)],
         budget: usize,
         seed: u64,
-        _engine: &EvalEngine,
+        engine: &EvalEngine,
     ) -> RunResult {
-        let t0 = Instant::now();
+        let run_span = engine.telemetry().span("run");
         let specs = problem.specs().to_vec();
         let fom_cfg = FomConfig::default();
         let mut rng = StdRng::seed_from_u64(seed);
@@ -61,9 +75,7 @@ impl Optimizer for RandomSearch {
         let mut timings = RunTimings::default();
         for _ in 0..budget {
             let x: Vec<f64> = (0..d).map(|_| rng.random_range(0.0..1.0)).collect();
-            let s0 = Instant::now();
-            let m = problem.evaluate(&x);
-            timings.simulation += s0.elapsed();
+            let m = simulate(engine, problem, &x, &mut timings);
             let idx = pop.push(x, m, &specs, fom_cfg);
             trace.record(
                 SimKind::Baseline,
@@ -72,7 +84,7 @@ impl Optimizer for RandomSearch {
                 pop.metrics(idx)[0],
             );
         }
-        timings.total = t0.elapsed();
+        timings.total = run_span.end();
         RunResult {
             label: self.name(),
             trace,
@@ -125,9 +137,9 @@ impl Optimizer for ParticleSwarm {
         init: &[(Vec<f64>, Vec<f64>)],
         budget: usize,
         seed: u64,
-        _engine: &EvalEngine,
+        engine: &EvalEngine,
     ) -> RunResult {
-        let t0 = Instant::now();
+        let run_span = engine.telemetry().span("run");
         let specs = problem.specs().to_vec();
         let fom_cfg = FomConfig::default();
         let mut rng = StdRng::seed_from_u64(seed);
@@ -177,9 +189,7 @@ impl Optimizer for ParticleSwarm {
                     vel[k][t] = vel[k][t].clamp(-0.25, 0.25);
                     xs[k][t] = (xs[k][t] + vel[k][t]).clamp(0.0, 1.0);
                 }
-                let s0 = Instant::now();
-                let m = problem.evaluate(&xs[k]);
-                timings.simulation += s0.elapsed();
+                let m = simulate(engine, problem, &xs[k], &mut timings);
                 let idx = pop.push(xs[k].clone(), m, &specs, fom_cfg);
                 trace.record(
                     SimKind::Baseline,
@@ -199,7 +209,7 @@ impl Optimizer for ParticleSwarm {
                 }
             }
         }
-        timings.total = t0.elapsed();
+        timings.total = run_span.end();
         RunResult {
             label: self.name(),
             trace,
@@ -248,9 +258,9 @@ impl Optimizer for DifferentialEvolution {
         init: &[(Vec<f64>, Vec<f64>)],
         budget: usize,
         seed: u64,
-        _engine: &EvalEngine,
+        engine: &EvalEngine,
     ) -> RunResult {
-        let t0 = Instant::now();
+        let run_span = engine.telemetry().span("run");
         let specs = problem.specs().to_vec();
         let fom_cfg = FomConfig::default();
         let mut rng = StdRng::seed_from_u64(seed);
@@ -295,9 +305,7 @@ impl Optimizer for DifferentialEvolution {
                         trial[t] = (xs[a][t] + self.f * (xs[b][t] - xs[c][t])).clamp(0.0, 1.0);
                     }
                 }
-                let s0 = Instant::now();
-                let m = problem.evaluate(&trial);
-                timings.simulation += s0.elapsed();
+                let m = simulate(engine, problem, &trial, &mut timings);
                 let idx = pop.push(trial.clone(), m, &specs, fom_cfg);
                 trace.record(
                     SimKind::Baseline,
@@ -313,7 +321,7 @@ impl Optimizer for DifferentialEvolution {
                 }
             }
         }
-        timings.total = t0.elapsed();
+        timings.total = run_span.end();
         RunResult {
             label: self.name(),
             trace,
@@ -389,6 +397,20 @@ mod tests {
             let a = opt.optimize(&p, &init, 20, 9, &EvalEngine::serial());
             let b = opt.optimize(&p, &init, 20, 9, &EvalEngine::serial());
             assert_eq!(a.trace.best_fom_series(20), b.trace.best_fom_series(20));
+        }
+    }
+
+    #[test]
+    fn baselines_simulate_through_the_engine() {
+        let p = ConstrainedToy::new(3);
+        let inits = crate::runner::make_initial_sets(&p, 2, 10, 6);
+        for opt in [
+            &RandomSearch::new() as &dyn Optimizer,
+            &ParticleSwarm::new(),
+            &DifferentialEvolution::new(),
+        ] {
+            let stats = crate::runner::run_method(opt, &p, &inits, 2, 7, 6);
+            assert_eq!(stats.exec.sims, 2 * 7, "{} engine sims", opt.name());
         }
     }
 

@@ -342,7 +342,6 @@ mod tests {
             .with_policy(FaultPolicy {
                 max_retries: 2,
                 deadline: Some(Duration::from_millis(15)),
-                ..FaultPolicy::default()
             });
         let xs = designs(40);
         let out = engine.evaluate_batch(&EngineProblem(&chaos), &xs);

@@ -11,7 +11,7 @@
 //! Actor training and proposal simulations run in parallel threads
 //! (the paper uses multiprocessing over `N_act` CPU cores).
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use maopt_ckpt::RunSnapshot;
 use maopt_exec::{quantize, CounterSnapshot, EvalEngine, OpState};
@@ -151,15 +151,25 @@ impl MaOptConfig {
 }
 
 /// Timing breakdown of a run, used by the runtime comparisons (§III-C).
+///
+/// Every field is a sum of [`SpanGuard::end`] readings of the run's own
+/// telemetry spans, so it equals what the same spans add to the span
+/// totals, the phase histograms and the trace. A resumed run adds the
+/// sums its previous life checkpointed.
+///
+/// [`SpanGuard::end`]: maopt_exec::telemetry::SpanGuard::end
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RunTimings {
-    /// Wall-clock total.
+    /// Wall-clock total: the `run` span.
     pub total: Duration,
-    /// Time spent training networks.
+    /// Time spent training surrogates and policies: the
+    /// `critic_training`, `elite_upkeep` and `actor_training` spans (BO:
+    /// `bo_fit` and `bo_acquisition`).
     pub training: Duration,
-    /// Time spent in circuit simulations.
+    /// Time spent in circuit simulations: the `simulation` spans.
     pub simulation: Duration,
-    /// Time spent in near-sampling proposal generation.
+    /// Time spent in near-sampling proposal generation: the
+    /// `near_sampling` spans.
     pub near_sampling: Duration,
 }
 
@@ -299,7 +309,9 @@ impl MaOpt {
         );
         let sim_target = EngineProblem(problem);
         let cfg = &self.config;
-        let t_start = Instant::now();
+        // Every `timings` field is a sum of this run's span durations:
+        // the `run` span for the total, the phase spans for the rest.
+        let run_span = engine.telemetry().span("run");
         let mut timings = RunTimings::default();
         let specs = problem.specs().to_vec();
         let d = problem.dim();
@@ -481,22 +493,18 @@ impl MaOpt {
                 let best_idx = pop.best().expect("non-empty population");
                 let incumbent_fom = pop.fom(best_idx);
                 let x_opt = pop.design(best_idx).to_vec();
-                let t0 = Instant::now();
-                let (cand, predicted_fom) = {
-                    let _span = engine.telemetry().span("near_sampling");
-                    ns.propose_scored_with(&critic, &x_opt, &specs, cfg.fom, &mut rng, engine)
-                };
-                timings.near_sampling += t0.elapsed();
+                let span = engine.telemetry().span("near_sampling");
+                let (cand, predicted_fom) =
+                    ns.propose_scored_with(&critic, &x_opt, &specs, cfg.fom, &mut rng, engine);
+                timings.near_sampling += span.end();
 
-                let t0 = Instant::now();
                 // Near-sampling candidates live within δ of the incumbent, so
                 // the incumbent's stored operating point is the natural seed.
+                let span = engine.telemetry().span("simulation");
                 let ns_seed = op_store.get(&x_opt).cloned();
-                let (metrics, op_state) = {
-                    let _span = engine.telemetry().span("simulation");
-                    engine.evaluate_one_seeded(&sim_target, &cand, ns_seed.as_ref())
-                };
-                timings.simulation += t0.elapsed();
+                let (metrics, op_state) =
+                    engine.evaluate_one_seeded(&sim_target, &cand, ns_seed.as_ref());
+                timings.simulation += span.end();
 
                 if let Some(state) = op_state {
                     op_store.insert(&cand, state);
@@ -538,7 +546,7 @@ impl MaOpt {
                 }
             } else {
                 // ---- Algorithm 1: actor-critic round (N_act simulations). ----
-                let t0 = Instant::now();
+                let span = engine.telemetry().span("critic_training");
                 critic.refit_scaler(&pop);
                 let mut critic_trace: Option<Vec<f64>> = journal.enabled().then(Vec::new);
                 let critic_loss = critic.train_traced(
@@ -548,9 +556,11 @@ impl MaOpt {
                     &mut rng,
                     critic_trace.as_mut(),
                 );
+                timings.training += span.end();
                 critic_ready = true;
 
                 // Elite sets (shared: one; individual: per actor).
+                let span = engine.telemetry().span("elite_upkeep");
                 let shared_elite = if cfg.shared_elite {
                     let mut es = EliteSet::new(cfg.n_es);
                     es.rebuild(&pop, None);
@@ -570,6 +580,7 @@ impl MaOpt {
                         })
                         .collect()
                 };
+                timings.training += span.end();
 
                 let n_props = cfg.n_actors.min(budget - sims_used);
                 let iter_seed: u64 = rng.random();
@@ -585,8 +596,8 @@ impl MaOpt {
                 let actor_lanes: Vec<&mut Actor> = actors.iter_mut().collect();
                 // Each lane returns (candidate, actor loss, predicted FoM,
                 // the parent elite design the candidate stepped from).
-                let lane_results: Vec<(Vec<f64>, f64, f64, Vec<f64>)> = {
-                    let _span = engine.telemetry().span("actor_training");
+                let span = engine.telemetry().span("actor_training");
+                let lane_results: Vec<(Vec<f64>, f64, f64, Vec<f64>)> =
                     engine.map(actor_lanes, |i, actor| {
                         let elite = if cfg.shared_elite {
                             shared_elite_ref.as_ref().expect("shared elite built")
@@ -622,12 +633,11 @@ impl MaOpt {
                             fom_cfg,
                         );
                         (cand, loss, pred, elite.designs()[parent].clone())
-                    })
-                };
-                timings.training += t0.elapsed();
+                    });
+                timings.training += span.end();
 
                 // Simulate the first `n_props` proposals on the pool.
-                let t0 = Instant::now();
+                let span = engine.telemetry().span("simulation");
                 let to_run: Vec<Vec<f64>> = lane_results[..n_props]
                     .iter()
                     .map(|(cand, _, _, _)| cand.clone())
@@ -650,11 +660,9 @@ impl MaOpt {
                     }
                 }
                 let seed_refs: Vec<Option<&OpState>> = seeds.iter().map(Option::as_ref).collect();
-                let results: Vec<(Vec<f64>, Option<OpState>)> = {
-                    let _span = engine.telemetry().span("simulation");
-                    engine.evaluate_batch_seeded(&sim_target, &to_run, &seed_refs)
-                };
-                timings.simulation += t0.elapsed();
+                let results: Vec<(Vec<f64>, Option<OpState>)> =
+                    engine.evaluate_batch_seeded(&sim_target, &to_run, &seed_refs);
+                timings.simulation += span.end();
 
                 let mut pushed = Vec::with_capacity(n_props);
                 for (i, (cand, (metrics, op_state))) in to_run.into_iter().zip(results).enumerate()
@@ -776,7 +784,7 @@ impl MaOpt {
                         counters.failures,
                     ],
                     timings: [
-                        (total_base + t_start.elapsed()).as_secs_f64(),
+                        (total_base + run_span.elapsed()).as_secs_f64(),
                         timings.training.as_secs_f64(),
                         timings.simulation.as_secs_f64(),
                         timings.near_sampling.as_secs_f64(),
@@ -796,7 +804,7 @@ impl MaOpt {
                 // and a journal without a run-end record, resumable
                 // bitwise-identically.
                 if c.halt_after_round() == Some(t) || c.stop_requested() {
-                    timings.total = total_base + t_start.elapsed();
+                    timings.total = total_base + run_span.end();
                     return RunResult {
                         label: cfg.label.clone(),
                         trace,
@@ -807,7 +815,7 @@ impl MaOpt {
             }
         }
 
-        timings.total = total_base + t_start.elapsed();
+        timings.total = total_base + run_span.end();
 
         if journal.enabled() {
             emit(

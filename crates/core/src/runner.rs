@@ -26,8 +26,9 @@ pub trait Optimizer: Send + Sync {
     /// simulation budget and RNG seed, running every simulation and
     /// internal fan-out through the given [`EvalEngine`] (pass
     /// [`EvalEngine::serial`] for the plain serial path). Implementations
-    /// must keep the result bitwise identical for any worker count;
-    /// optimizers without internal fan-out may ignore the engine.
+    /// must keep the result bitwise identical for any worker count, and
+    /// fill [`RunResult::timings`] from spans on the engine's telemetry
+    /// (see [`crate::RunTimings`]).
     fn optimize(
         &self,
         problem: &dyn SizingProblem,

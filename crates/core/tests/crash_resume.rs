@@ -295,7 +295,6 @@ fn resumed_run_is_byte_identical_under_fault_injection() {
             .with_policy(FaultPolicy {
                 max_retries: 2,
                 deadline: Some(Duration::from_millis(10)),
-                ..FaultPolicy::default()
             })
     };
     let (reference, resumed) = reference_and_resumed(

@@ -223,7 +223,6 @@ fn transient_faults_are_retried_through_sizing_problem() {
     let engine = EvalEngine::new(1).with_policy(FaultPolicy {
         max_retries: 2,
         deadline: None,
-        ..FaultPolicy::default()
     });
     let out = engine.evaluate_one(&EngineProblem(&p), &[0.25, 0.5]);
     assert_eq!(out, vec![0.75, 0.25], "third attempt succeeds");
@@ -239,7 +238,6 @@ fn exhausted_retries_emit_the_problem_penalty_vector() {
     let engine = EvalEngine::new(1).with_policy(FaultPolicy {
         max_retries: 1,
         deadline: None,
-        ..FaultPolicy::default()
     });
     let out = engine.evaluate_one(&EngineProblem(&p), &[0.1, 0.2]);
     assert_eq!(
@@ -277,7 +275,6 @@ fn evaluation_timeout_is_a_counted_fault() {
     let engine = EvalEngine::new(1).with_policy(FaultPolicy {
         max_retries: 0,
         deadline: Some(Duration::from_millis(1)),
-        ..FaultPolicy::default()
     });
     let out = engine.evaluate_one(&EngineProblem(&p), &[0.3, 0.4]);
     assert_eq!(
@@ -294,7 +291,6 @@ fn engine_problem_panic_is_isolated_and_penalized() {
     let engine = EvalEngine::new(1).with_policy(FaultPolicy {
         max_retries: 0,
         deadline: None,
-        ..FaultPolicy::default()
     });
     let out = engine.evaluate_one(&EngineProblem(&p), &[0.0, 0.0]);
     assert_eq!(out, p.failure_metrics());
@@ -310,8 +306,8 @@ fn telemetry_spans_cover_engine_phases() {
     let engine = EvalEngine::new(2).with_telemetry(Arc::new(Telemetry::new()));
     let cfg = tiny(MaOptConfig::ma_opt2(0));
     let _ = run_method_resumable(&cfg, &p, &inits, 1, 4, 9, &engine, &engine, &[], &[]);
-    let spans = engine.telemetry().spans();
-    let names: Vec<&str> = spans.iter().map(|(n, _)| n.as_str()).collect();
+    let spans = engine.telemetry().span_stats();
+    let names: Vec<&str> = spans.iter().map(|s| s.name.as_str()).collect();
     assert!(names.contains(&"actor_training"), "{names:?}");
     assert!(names.contains(&"simulation"), "{names:?}");
     assert!(names.iter().any(|n| n.starts_with("method:")), "{names:?}");

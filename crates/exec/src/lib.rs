@@ -139,17 +139,6 @@ pub struct FaultPolicy {
     pub max_retries: u32,
     /// Optional per-evaluation deadline.
     pub deadline: Option<Duration>,
-    /// Base delay of the exponential retry backoff: retry `k` sleeps
-    /// roughly `backoff_base · 2^k`, jittered and capped. The default
-    /// `Duration::ZERO` disables sleeping, preserving the immediate
-    /// back-to-back retry behaviour.
-    pub backoff_base: Duration,
-    /// Upper bound on any single backoff sleep (applied before jitter).
-    pub backoff_cap: Duration,
-    /// Seed of the deterministic backoff jitter. The jitter is a pure
-    /// function of `(seed, design, attempt)`, so identical runs sleep
-    /// identically and no optimizer RNG stream is consumed.
-    pub backoff_seed: u64,
 }
 
 impl Default for FaultPolicy {
@@ -157,42 +146,7 @@ impl Default for FaultPolicy {
         FaultPolicy {
             max_retries: 1,
             deadline: None,
-            backoff_base: Duration::ZERO,
-            backoff_cap: Duration::from_millis(100),
-            backoff_seed: 0,
         }
-    }
-}
-
-impl FaultPolicy {
-    /// The backoff sleep before retry number `attempt` (0-based) of an
-    /// evaluation of `x`: `min(base · 2^attempt, cap)`, scaled by a
-    /// deterministic jitter factor in `[0.5, 1.0)` derived from the
-    /// policy seed, the quantized design and the attempt index.
-    /// `Duration::ZERO` when backoff is disabled.
-    #[must_use]
-    pub fn backoff_delay(&self, x: &[f64], attempt: u32) -> Duration {
-        if self.backoff_base.is_zero() {
-            return Duration::ZERO;
-        }
-        let factor = 1u32.checked_shl(attempt).unwrap_or(u32::MAX);
-        let raw = self.backoff_base.saturating_mul(factor);
-        let capped = raw.min(self.backoff_cap);
-        let mut h = 0xcbf2_9ce4_8422_2325u64 ^ self.backoff_seed;
-        let mut mix = |word: u64| {
-            for byte in word.to_le_bytes() {
-                h ^= u64::from(byte);
-                h = h.wrapping_mul(0x0000_0100_0000_01B3);
-            }
-        };
-        for q in quantize(x) {
-            mix(q as u64);
-        }
-        mix(u64::from(attempt));
-        // Map the hash into [0.5, 1.0): half the nominal delay of jitter
-        // keeps the exponential shape while decorrelating retry storms.
-        let unit = (h >> 11) as f64 / (1u64 << 53) as f64;
-        capped.mul_f64(0.5 + 0.5 * unit)
     }
 }
 
@@ -535,12 +489,8 @@ impl EvalEngine {
                 tr.instant(&format!("fault:{}", kind.label()), hash);
             }
             if attempt < self.policy.max_retries {
-                let delay = self.policy.backoff_delay(x, attempt);
                 attempt += 1;
                 t.bump(&t.counters.retries);
-                if !delay.is_zero() {
-                    std::thread::sleep(delay);
-                }
             } else {
                 t.bump(&t.counters.failures);
                 return (problem.failure_metrics(), None);
@@ -748,66 +698,10 @@ mod tests {
         let engine = EvalEngine::new(1).with_policy(FaultPolicy {
             max_retries: 0,
             deadline: Some(Duration::from_millis(1)),
-            ..FaultPolicy::default()
         });
         let out = engine.evaluate_one(&Slow, &[0.0]);
         assert_eq!(out, vec![f64::INFINITY]);
         assert_eq!(engine.telemetry().snapshot().timeouts, 1);
-    }
-
-    #[test]
-    fn backoff_delay_is_deterministic_bounded_and_growing() {
-        let policy = FaultPolicy {
-            backoff_base: Duration::from_millis(2),
-            backoff_cap: Duration::from_millis(20),
-            backoff_seed: 7,
-            ..FaultPolicy::default()
-        };
-        let x = [0.25, 0.5];
-        // Pure function of (seed, design, attempt).
-        assert_eq!(policy.backoff_delay(&x, 0), policy.backoff_delay(&x, 0));
-        // Jittered into [base/2, base), so attempt k+2 always exceeds
-        // attempt k until the cap kicks in.
-        let d0 = policy.backoff_delay(&x, 0);
-        let d2 = policy.backoff_delay(&x, 2);
-        assert!(d0 >= Duration::from_millis(1) && d0 < Duration::from_millis(2));
-        assert!(d2 > d0, "exponential growth: {d0:?} vs {d2:?}");
-        // Cap bounds even absurd attempt counts (and the shift saturates).
-        assert!(policy.backoff_delay(&x, 40) <= Duration::from_millis(20));
-        // Different seeds and designs jitter differently.
-        let other = FaultPolicy {
-            backoff_seed: 8,
-            ..policy
-        };
-        assert_ne!(policy.backoff_delay(&x, 0), other.backoff_delay(&x, 0));
-        assert_ne!(
-            policy.backoff_delay(&x, 0),
-            policy.backoff_delay(&[0.75], 0)
-        );
-        // Disabled by default: zero base means zero sleep.
-        assert_eq!(FaultPolicy::default().backoff_delay(&x, 3), Duration::ZERO);
-    }
-
-    #[test]
-    fn retries_sleep_per_the_backoff_schedule() {
-        let policy = FaultPolicy {
-            max_retries: 2,
-            backoff_base: Duration::from_millis(4),
-            backoff_cap: Duration::from_millis(50),
-            backoff_seed: 3,
-            ..FaultPolicy::default()
-        };
-        let x = [0.5];
-        let expected = policy.backoff_delay(&x, 0) + policy.backoff_delay(&x, 1);
-        let engine = EvalEngine::new(1).with_policy(policy);
-        let flaky = Flaky::new(2, false);
-        let start = Instant::now();
-        assert_eq!(engine.evaluate_one(&flaky, &x), vec![1.5]);
-        assert!(
-            start.elapsed() >= expected,
-            "two retries must sleep at least {expected:?}, took {:?}",
-            start.elapsed()
-        );
     }
 
     #[test]
@@ -879,15 +773,15 @@ mod tests {
         assert_eq!(snap.cache_misses, (n / 2) as u64);
         assert_eq!(snap.faults(), 0);
 
-        let spans = engine.telemetry().spans();
+        let spans = engine.telemetry().span_stats();
         let work = spans
             .iter()
-            .find(|(name, _)| name == "work")
+            .find(|s| s.name == "work")
             .expect("work span recorded");
         assert!(
-            work.1 >= Duration::from_millis(n as u64),
+            work.total >= Duration::from_millis(n as u64),
             "span totals accumulate across workers: {:?}",
-            work.1
+            work.total
         );
 
         let metrics = engine.telemetry().metrics.snapshot();
@@ -986,10 +880,10 @@ mod tests {
             engine.telemetry().snapshot().panics >= 1,
             "pool-function panic is a counted fault"
         );
-        let spans = engine.telemetry().spans();
-        let doomed = spans.iter().find(|(name, _)| name == "doomed_phase");
+        let spans = engine.telemetry().span_stats();
+        let doomed = spans.iter().find(|s| s.name == "doomed_phase");
         assert!(
-            doomed.is_some_and(|(_, d)| *d > Duration::ZERO),
+            doomed.is_some_and(|s| s.total > Duration::ZERO),
             "span end recorded despite the panic: {spans:?}"
         );
         // The telemetry (and the pool) stay fully usable afterwards.

@@ -198,7 +198,8 @@ impl Telemetry {
     }
 
     /// Starts a wall-time span for `phase`; the elapsed time accumulates
-    /// into the phase's total when the guard drops. Overlapping spans from
+    /// into the phase's total when the guard drops or is
+    /// [ended](SpanGuard::end). Overlapping spans from
     /// concurrent workers all add up, so a phase total can exceed
     /// wall-clock — it is a work measure, like CPU time.
     pub fn span(&self, phase: &str) -> SpanGuard<'_> {
@@ -207,17 +208,7 @@ impl Telemetry {
             phase: phase.to_string(),
             start: Instant::now(),
             trace_t0: self.tracer.as_ref().map(|tr| tr.now_ns()),
-            arg: None,
         }
-    }
-
-    /// Like [`Telemetry::span`], with a payload recorded on the trace
-    /// event (e.g. a round index or design hash) — ignored when no
-    /// flight recorder is attached.
-    pub fn span_n(&self, phase: &str, arg: u64) -> SpanGuard<'_> {
-        let mut guard = self.span(phase);
-        guard.arg = Some(arg);
-        guard
     }
 
     /// Poison-tolerant: [`SpanGuard`]s drop during panic unwinding on
@@ -248,17 +239,8 @@ impl Telemetry {
         entry.count += count;
     }
 
-    /// Accumulated per-phase wall time, sorted by phase name.
-    /// Poison-tolerant for the same reason as span recording.
-    pub fn spans(&self) -> Vec<(String, Duration)> {
-        self.span_stats()
-            .into_iter()
-            .map(|s| (s.name, s.total))
-            .collect()
-    }
-
-    /// Accumulated per-phase wall time *and call counts*, sorted by
-    /// phase name.
+    /// Accumulated per-phase wall time and call counts, sorted by phase
+    /// name. Poison-tolerant for the same reason as span recording.
     pub fn span_stats(&self) -> Vec<SpanStat> {
         let spans = self.spans.lock().unwrap_or_else(PoisonError::into_inner);
         spans
@@ -358,25 +340,50 @@ pub fn json_f64(v: f64) -> String {
     }
 }
 
-/// RAII guard returned by [`Telemetry::span`].
+/// RAII guard returned by [`Telemetry::span`]. The span ends when the
+/// guard drops, or explicitly through [`SpanGuard::end`], which also
+/// returns the recorded duration.
 pub struct SpanGuard<'a> {
     telemetry: &'a Telemetry,
     phase: String,
     start: Instant,
     /// Recorder-relative start timestamp, captured iff tracing.
     trace_t0: Option<u64>,
-    /// Optional payload for the trace event ([`Telemetry::span_n`]).
-    arg: Option<u64>,
+}
+
+impl SpanGuard<'_> {
+    /// Wall time since the span opened; the span stays open.
+    pub fn elapsed(&self) -> Duration {
+        self.start.elapsed()
+    }
+
+    /// Ends the span now and returns its duration: the one reading that
+    /// goes into the phase total, the `exec.phase_seconds.<phase>`
+    /// histogram and the trace event. Callers that keep their own
+    /// per-phase sums (a run's `RunTimings`) add this value, so those
+    /// sums equal the span totals exactly.
+    pub fn end(mut self) -> Duration {
+        let elapsed = self.record();
+        // Recorded above; `phase` is now an empty `String`, so skipping
+        // the destructor leaks nothing.
+        std::mem::forget(self);
+        elapsed
+    }
+
+    fn record(&mut self) -> Duration {
+        let elapsed = self.start.elapsed();
+        if let (Some(tracer), Some(t0)) = (&self.telemetry.tracer, self.trace_t0) {
+            tracer.span(&self.phase, t0, elapsed.as_nanos() as u64, None);
+        }
+        self.telemetry
+            .end_span(std::mem::take(&mut self.phase), elapsed);
+        elapsed
+    }
 }
 
 impl Drop for SpanGuard<'_> {
     fn drop(&mut self) {
-        let elapsed = self.start.elapsed();
-        if let (Some(tracer), Some(t0)) = (&self.telemetry.tracer, self.trace_t0) {
-            tracer.span(&self.phase, t0, elapsed.as_nanos() as u64, self.arg);
-        }
-        self.telemetry
-            .end_span(std::mem::take(&mut self.phase), elapsed);
+        self.record();
     }
 }
 
@@ -397,11 +404,11 @@ mod tests {
         {
             let _c = t.span("sim");
         }
-        let spans = t.spans();
+        let spans = t.span_stats();
         assert_eq!(spans.len(), 2);
-        assert_eq!(spans[0].0, "sim");
-        assert_eq!(spans[1].0, "train");
-        assert!(spans[1].1 >= Duration::from_millis(2));
+        assert_eq!(spans[0].name, "sim");
+        assert_eq!(spans[1].name, "train");
+        assert!(spans[1].total >= Duration::from_millis(2));
     }
 
     #[test]
@@ -512,16 +519,48 @@ mod tests {
         let child = parent.isolated();
         child.bump(&child.counters.sims);
         {
-            let _s = child.span_n("round", 7);
+            let _s = child.span("round");
         }
         assert_eq!(parent.snapshot().sims, 0, "counters are isolated");
-        assert!(parent.spans().is_empty(), "spans are isolated");
+        assert!(parent.span_stats().is_empty(), "spans are isolated");
         let snap = tracer.snapshot();
         assert_eq!(snap.len(), 1, "the trace timeline is shared");
         let ev = &snap.threads[0].events[0];
         assert_eq!(ev.name, "round");
-        assert_eq!(ev.arg, Some(7));
         assert!(matches!(ev.kind, crate::trace::TraceEventKind::Span { .. }));
+    }
+
+    #[test]
+    fn end_returns_the_duration_every_sink_records() {
+        let tracer = crate::trace::TraceRecorder::new();
+        let t = Telemetry::new().with_tracer(Arc::clone(&tracer));
+        let span = t.span("phase");
+        std::thread::sleep(Duration::from_millis(1));
+        let mid = span.elapsed();
+        let d = span.end();
+        assert!(d >= mid && mid >= Duration::from_millis(1));
+        let stats = t.span_stats();
+        assert_eq!((stats[0].total, stats[0].count), (d, 1), "ended once");
+        let hist = t
+            .metrics
+            .snapshot()
+            .into_iter()
+            .find_map(|m| match m {
+                crate::MetricSnapshot::Histogram(h) if h.name == "exec.phase_seconds.phase" => {
+                    Some(h)
+                }
+                _ => None,
+            })
+            .expect("per-phase latency histogram");
+        assert_eq!(hist.count, 1);
+        let snap = tracer.snapshot();
+        let ev = &snap.threads[0].events[0];
+        assert_eq!(
+            ev.kind,
+            crate::trace::TraceEventKind::Span {
+                dur_ns: d.as_nanos() as u64
+            }
+        );
     }
 
     #[test]

@@ -19,12 +19,12 @@
 //!    parallelism, tiling or buffering level. No kernel uses fused
 //!    multiply-add: one rounding per product and one per sum.
 //!
-//! Zero-skip fast paths (`0.0 * x` contributions are not added) remain
-//! only in [`matmul_into`] and [`matvec_transposed_into`], kept from the
-//! seed implementations: they are bitwise-neutral for finite operands,
-//! but would silently launder `0.0 * NaN` or `0.0 * ∞` to zero. Debug
-//! builds therefore assert that skipped operands are finite, surfacing
-//! poisoned inputs instead of masking them. [`dot`] and
+//! A zero-skip fast path (`0.0 * x` contributions are not added) remains
+//! only in [`matmul_into`], kept from the seed implementation: it is
+//! bitwise-neutral for finite operands, but would silently launder
+//! `0.0 * NaN` or `0.0 * ∞` to zero. Debug builds therefore assert that
+//! skipped operands are finite, surfacing poisoned inputs instead of
+//! masking them. [`dot`] and
 //! [`matmul_nt_into`] never skip, so a non-finite operand always reaches
 //! the result.
 
@@ -168,8 +168,7 @@ pub fn matmul_nt_into(a: &Mat, b: &Mat, out: &mut Mat) {
 
 /// Row block height of the register-tiled matmul kernel.
 const MR: usize = 4;
-/// Column block width of the register-tiled matmul / transposed-matvec
-/// kernels.
+/// Column block width of the register-tiled matmul kernel.
 const NR: usize = 8;
 
 /// Matrix × matrix product written into `out` (resized by the kernel,
@@ -233,54 +232,6 @@ pub fn matmul_into(a: &Mat, b: &Mat, out: &mut Mat) {
     }
 }
 
-/// Matrix × vector product written into `out` (resized, capacity
-/// reused). Bitwise identical to [`Mat::matvec`].
-///
-/// # Panics
-///
-/// Panics if `x.len() != a.cols()`.
-pub fn matvec_into(a: &Mat, x: &[f64], out: &mut Vec<f64>) {
-    assert_eq!(x.len(), a.cols(), "matvec dimension mismatch");
-    out.clear();
-    out.extend((0..a.rows()).map(|i| dot(a.row(i), x)));
-}
-
-/// Transposed matrix × vector product (`Aᵀ x`) written into `out`
-/// without forming `Aᵀ`. Bitwise identical to
-/// [`Mat::matvec_transposed`], including the `x[i] == 0.0` fast path.
-///
-/// Blocked over `NR`-wide column strips so the partial sums of one strip
-/// accumulate in a stack array (registers) instead of read-modify-write
-/// traffic on `out`. As in [`matmul_into`], blocking only chooses which
-/// output element is worked on next: each `out[j]` still sums its
-/// `x[i] * a[i][j]` terms from `0.0` in strictly ascending `i` order, so
-/// no result bit can change.
-///
-/// # Panics
-///
-/// Panics if `x.len() != a.rows()`.
-pub fn matvec_transposed_into(a: &Mat, x: &[f64], out: &mut Vec<f64>) {
-    assert_eq!(x.len(), a.rows(), "matvec_transposed dimension mismatch");
-    let cols = a.cols();
-    out.clear();
-    out.resize(cols, 0.0);
-    for jb in (0..cols).step_by(NR) {
-        let jw = NR.min(cols - jb);
-        let mut acc = [0.0f64; NR];
-        for (i, &xi) in x.iter().enumerate() {
-            let row_blk = &a.row(i)[jb..jb + jw];
-            if xi == 0.0 {
-                debug_assert_finite(row_blk, "matvec_transposed zero-skip");
-                continue;
-            }
-            for (jj, &aij) in row_blk.iter().enumerate() {
-                acc[jj] += xi * aij;
-            }
-        }
-        out[jb..jb + jw].copy_from_slice(&acc[..jw]);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -326,20 +277,6 @@ mod tests {
         // Reuse without reallocation: result must still be identical.
         matmul_into(&a, &b, &mut out);
         assert_eq!(out, reference);
-    }
-
-    #[test]
-    fn matvec_kernels_match_allocating_bitwise() {
-        let a = seq_mat(6, 4, 1.3);
-        let x = [0.5, -1.5, 2.5, 0.0];
-        let mut out = Vec::new();
-        matvec_into(&a, &x, &mut out);
-        assert_eq!(out, a.matvec(&x));
-
-        let xt = [1.0, 0.0, -2.0, 0.5, 0.0, 3.0];
-        let mut out_t = vec![99.0; 10];
-        matvec_transposed_into(&a, &xt, &mut out_t);
-        assert_eq!(out_t, a.matvec_transposed(&xt));
     }
 
     #[test]

@@ -195,20 +195,10 @@ impl Mat {
     ///
     /// Panics if `x.len() != self.cols()`.
     pub fn matvec(&self, x: &[f64]) -> Vec<f64> {
-        let mut out = Vec::new();
-        crate::kernels::matvec_into(self, x, &mut out);
-        out
-    }
-
-    /// Transposed matrix × vector product (`Aᵀ x`) without forming `Aᵀ`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len() != self.rows()`.
-    pub fn matvec_transposed(&self, x: &[f64]) -> Vec<f64> {
-        let mut out = Vec::new();
-        crate::kernels::matvec_transposed_into(self, x, &mut out);
-        out
+        assert_eq!(x.len(), self.cols(), "matvec dimension mismatch");
+        (0..self.rows())
+            .map(|i| crate::kernels::dot(self.row(i), x))
+            .collect()
     }
 
     /// In-place scaling by a scalar.
@@ -432,14 +422,6 @@ mod tests {
         let a = Mat::from_rows(&[&[1.0, 2.0], &[3.0, 4.0], &[5.0, 6.0]]);
         let x = vec![2.0, -1.0];
         assert_eq!(a.matvec(&x), vec![0.0, 2.0, 4.0]);
-    }
-
-    #[test]
-    fn matvec_transposed_matches_explicit_transpose() {
-        let a = Mat::from_rows(&[&[1.0, 2.0], &[3.0, 4.0], &[5.0, 6.0]]);
-        let x = vec![1.0, 0.5, -2.0];
-        let explicit = a.transpose().matvec(&x);
-        assert_eq!(a.matvec_transposed(&x), explicit);
     }
 
     #[test]

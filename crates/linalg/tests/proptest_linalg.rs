@@ -57,31 +57,16 @@ fn reference_matvec(a: &Mat, x: &[f64]) -> Vec<f64> {
         .collect()
 }
 
-/// Reference transposed matvec: the seed implementation's exact loop.
-fn reference_matvec_transposed(a: &Mat, x: &[f64]) -> Vec<f64> {
-    let mut out = vec![0.0; a.cols()];
-    for (i, &xi) in x.iter().enumerate() {
-        if xi == 0.0 {
-            continue;
-        }
-        for (o, &v) in out.iter_mut().zip(a.row(i)) {
-            *o += v * xi;
-        }
-    }
-    out
-}
-
 fn bits(v: &[f64]) -> Vec<u64> {
     v.iter().map(|x| x.to_bits()).collect()
 }
 
-/// Strategy: an `m×k` / `k×n` matmul pair plus an `m`-vector, with the
-/// dimensions ranging over sizes that straddle the tiled kernels' 4-row /
+/// Strategy: an `m×k` / `k×n` matmul pair, with the dimensions ranging over sizes that straddle the tiled kernels' 4-row /
 /// 8-column block boundaries (exact multiples, ragged remainders and the
 /// degenerate 1-sized edges). Entry pools are drawn at the maximum size
 /// and truncated to the drawn dimensions, with every fourth entry forced
 /// to an exact zero to exercise the zero-skip fast paths.
-fn ragged_case() -> impl Strategy<Value = (Mat, Mat, Vec<f64>)> {
+fn ragged_case() -> impl Strategy<Value = (Mat, Mat)> {
     const MAX_M: usize = 9;
     const MAX_K: usize = 10;
     const MAX_N: usize = 19;
@@ -92,9 +77,8 @@ fn ragged_case() -> impl Strategy<Value = (Mat, Mat, Vec<f64>)> {
         1usize..MAX_N + 1,
         entries(MAX_M * MAX_K),
         entries(MAX_K * MAX_N),
-        prop::collection::vec(-3.0f64..3.0, MAX_M),
     )
-        .prop_map(|(m, k, n, da, db, xt)| {
+        .prop_map(|(m, k, n, da, db)| {
             let sprinkle = |mut data: Vec<f64>| {
                 for (i, v) in data.iter_mut().enumerate() {
                     if i % 4 == 0 {
@@ -106,7 +90,6 @@ fn ragged_case() -> impl Strategy<Value = (Mat, Mat, Vec<f64>)> {
             (
                 Mat::from_vec(m, k, sprinkle(da[..m * k].to_vec())),
                 Mat::from_vec(k, n, sprinkle(db[..k * n].to_vec())),
-                xt[..m].to_vec(),
             )
         })
 }
@@ -245,54 +228,40 @@ proptest! {
         }
     }
 
-    /// The `_into` kernels (and the `Mat` methods now delegating to
-    /// them) must be bitwise identical to the seed implementations —
-    /// the determinism contract of the workspace-reuse layer.
+    /// `matmul_into`, and the `Mat` products over it and over `dot`,
+    /// must be bitwise identical to the seed implementations — the
+    /// determinism contract of the workspace-reuse layer.
     #[test]
     fn kernels_bitwise_match_seed_implementations(
         a in any_mat(5, 7),
         b in any_mat(7, 4),
         x in prop::collection::vec(-3.0f64..3.0, 7),
-        xt in prop::collection::vec(-3.0f64..3.0, 5),
     ) {
         prop_assert_eq!(
             bits(a.matmul(&b).as_slice()),
             bits(reference_matmul(&a, &b).as_slice())
         );
         prop_assert_eq!(bits(&a.matvec(&x)), bits(&reference_matvec(&a, &x)));
-        prop_assert_eq!(
-            bits(&a.matvec_transposed(&xt)),
-            bits(&reference_matvec_transposed(&a, &xt))
-        );
 
         // Dirty, reused buffers must not leak into results.
         let mut out = Mat::from_rows(&[&[9.9; 3]]);
         maopt_linalg::kernels::matmul_into(&a, &b, &mut out);
         prop_assert_eq!(bits(out.as_slice()), bits(reference_matmul(&a, &b).as_slice()));
-        let mut v = vec![4.2; 11];
-        maopt_linalg::kernels::matvec_into(&a, &x, &mut v);
-        prop_assert_eq!(bits(&v), bits(&reference_matvec(&a, &x)));
-        let mut vt = vec![-1.0; 2];
-        maopt_linalg::kernels::matvec_transposed_into(&a, &xt, &mut vt);
-        prop_assert_eq!(bits(&vt), bits(&reference_matvec_transposed(&a, &xt)));
     }
 
-    /// The register-tiled kernels must stay bitwise identical to the
-    /// seed loops on ragged shapes — dimensions straddling the 4-row /
+    /// The register-tiled `matmul_into` must stay bitwise identical to
+    /// the seed loop on ragged shapes — dimensions straddling the 4-row /
     /// 8-column tile boundaries, including exact multiples and the
     /// degenerate 1-sized edges where partial tiles do all the work.
     #[test]
     fn tiled_kernels_bitwise_match_seed_on_ragged_shapes(case in ragged_case()) {
-        let (a, b, xt) = case;
+        let (a, b) = case;
         let mut out = Mat::zeros(0, 0);
         maopt_linalg::kernels::matmul_into(&a, &b, &mut out);
         prop_assert_eq!(
             bits(out.as_slice()),
             bits(reference_matmul(&a, &b).as_slice())
         );
-        let mut vt = Vec::new();
-        maopt_linalg::kernels::matvec_transposed_into(&a, &xt, &mut vt);
-        prop_assert_eq!(bits(&vt), bits(&reference_matvec_transposed(&a, &xt)));
     }
 
     /// The register-tiled `a · bᵀ` kernel must match the naive
