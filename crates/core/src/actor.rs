@@ -8,7 +8,7 @@ use maopt_nn::{Activation, Adam, Mlp, Workspace};
 use rand::rngs::StdRng;
 use rand::Rng;
 
-use crate::critic::{Critic, PredictScratch, Surrogate};
+use crate::critic::{Critic, Surrogate};
 use crate::elite::boundary_violation_into;
 use crate::fom::FomConfig;
 use crate::population::Population;
@@ -81,9 +81,14 @@ impl Actor {
     /// warm-start the proposal's simulation. Ties keep the first winner,
     /// so the parent choice is deterministic.
     ///
+    /// All elites go through one batched actor forward and one batched
+    /// critic prediction. Rows of a batch are independent, so each
+    /// elite's action and prediction are bitwise those of [`Actor::act`]
+    /// and a single-row [`Surrogate::predict_raw_with`].
+    ///
     /// # Panics
     ///
-    /// Panics if `elite_designs` is empty.
+    /// Panics if `elite_designs` is empty or a design is not `dim` long.
     pub fn best_elite_proposal(
         &self,
         critic: &Critic,
@@ -91,23 +96,40 @@ impl Actor {
         specs: &[Spec],
         fom_cfg: FomConfig,
     ) -> (Vec<f64>, f64, usize) {
-        let mut scratch = PredictScratch::default();
-        let mut best: Option<(f64, Vec<f64>, usize)> = None;
+        assert!(!elite_designs.is_empty(), "elite set is non-empty");
+        let (n, d) = (elite_designs.len(), self.dim);
+        let mut states = Mat::zeros(n, d);
         for (i, x) in elite_designs.iter().enumerate() {
-            let a = self.act(x);
-            let pred = Surrogate::predict_raw_with(critic, x, &a, &mut scratch);
-            let g = crate::fom::fom(pred, specs, fom_cfg);
-            let cand: Vec<f64> = x
-                .iter()
-                .zip(&a)
-                .map(|(xi, ai)| (xi + ai).clamp(0.0, 1.0))
-                .collect();
-            match &best {
-                Some((bg, _, _)) if *bg <= g => {}
-                _ => best = Some((g, cand, i)),
+            assert_eq!(x.len(), d, "state length mismatch");
+            states.row_mut(i).copy_from_slice(x);
+        }
+        let mut ws = Workspace::new();
+        let mut actions = Mat::default();
+        actions.copy_from(self.mlp.forward_ws(&states, &mut ws));
+        actions.scale_mut(self.action_scale);
+        let critic_in = Mat::from_fn(n, 2 * d, |i, j| {
+            if j < d {
+                states[(i, j)]
+            } else {
+                actions[(i, j - d)]
+            }
+        });
+        let mut preds = Mat::default();
+        critic.predict_batch_raw_into(&critic_in, &mut ws, &mut preds);
+        let mut best: Option<(f64, usize)> = None;
+        for i in 0..n {
+            let g = crate::fom::fom(preds.row(i), specs, fom_cfg);
+            match best {
+                Some((bg, _)) if bg <= g => {}
+                _ => best = Some((g, i)),
             }
         }
-        let (g, cand, parent) = best.expect("elite set is non-empty");
+        let (g, parent) = best.expect("elite set is non-empty");
+        let cand = elite_designs[parent]
+            .iter()
+            .zip(actions.row(parent))
+            .map(|(xi, ai)| (xi + ai).clamp(0.0, 1.0))
+            .collect();
         (cand, g, parent)
     }
 
@@ -359,6 +381,58 @@ mod tests {
             viol.iter().all(|&v| v < 0.15),
             "boundary penalty should restrain actions: y = {y:?}"
         );
+    }
+
+    #[test]
+    fn batched_proposal_matches_per_elite_loop() {
+        let (pop, mut critic, specs) = toy_setup();
+        let mut actor = Actor::new(2, &[32, 32], 0.3, 1e-3, 19);
+        let mut rng = StdRng::seed_from_u64(20);
+        let (lb, ub) = (vec![0.0, 0.0], vec![1.0, 1.0]);
+        let cfg = FomConfig::default();
+        actor.train(
+            &mut critic,
+            &pop,
+            &specs,
+            cfg,
+            (&lb, &ub),
+            10.0,
+            50,
+            16,
+            &mut rng,
+        );
+        // One elite more than the batch split threshold, plus a duplicate
+        // of the winner to exercise the first-minimum tie rule.
+        let mut elites: Vec<Vec<f64>> = (0..9).map(|i| pop.design(i * 7).to_vec()).collect();
+        let per_elite = |elites: &[Vec<f64>]| {
+            let mut scratch = crate::critic::PredictScratch::default();
+            let mut best: Option<(f64, Vec<f64>, usize)> = None;
+            for (i, x) in elites.iter().enumerate() {
+                let a = actor.act(x);
+                let pred = critic.predict_raw_with(x, &a, &mut scratch);
+                let g = crate::fom::fom(pred, &specs, cfg);
+                let cand: Vec<f64> = x
+                    .iter()
+                    .zip(&a)
+                    .map(|(xi, ai)| (xi + ai).clamp(0.0, 1.0))
+                    .collect();
+                match &best {
+                    Some((bg, _, _)) if *bg <= g => {}
+                    _ => best = Some((g, cand, i)),
+                }
+            }
+            let (g, cand, i) = best.expect("non-empty");
+            (cand, g, i)
+        };
+        let expected = per_elite(&elites);
+        let got = actor.best_elite_proposal(&critic, &elites, &specs, cfg);
+        assert_eq!(got.0, expected.0);
+        assert_eq!(got.1.to_bits(), expected.1.to_bits());
+        assert_eq!(got.2, expected.2);
+        elites.push(elites[expected.2].clone());
+        let got = actor.best_elite_proposal(&critic, &elites, &specs, cfg);
+        assert_eq!(got.2, expected.2, "ties keep the first winner");
+        assert_eq!(got, per_elite(&elites));
     }
 
     #[test]

@@ -546,16 +546,20 @@ impl MaOpt {
                 }
             } else {
                 // ---- Algorithm 1: actor-critic round (N_act simulations). ----
+                // Training runs on this thread while the pool idles, so
+                // it runs as a team with one idle worker (DESIGN.md §9).
                 let span = engine.telemetry().span("critic_training");
-                critic.refit_scaler(&pop);
                 let mut critic_trace: Option<Vec<f64>> = journal.enabled().then(Vec::new);
-                let critic_loss = critic.train_traced(
-                    &pop,
-                    cfg.critic_steps,
-                    cfg.batch_size,
-                    &mut rng,
-                    critic_trace.as_mut(),
-                );
+                let critic_loss = engine.team(|| {
+                    critic.refit_scaler(&pop);
+                    critic.train_traced(
+                        &pop,
+                        cfg.critic_steps,
+                        cfg.batch_size,
+                        &mut rng,
+                        critic_trace.as_mut(),
+                    )
+                });
                 timings.training += span.end();
                 critic_ready = true;
 
@@ -595,9 +599,12 @@ impl MaOpt {
                 let individual_elites_ref = &individual_elites;
                 let actor_lanes: Vec<&mut Actor> = actors.iter_mut().collect();
                 // Each lane returns (candidate, actor loss, predicted FoM,
-                // the parent elite design the candidate stepped from).
+                // the parent elite design the candidate stepped from). A
+                // single lane runs inline on this thread, as a team; several
+                // lanes run on the pool, where the team's helper gives its
+                // worker back and every join runs inline.
                 let span = engine.telemetry().span("actor_training");
-                let lane_results: Vec<(Vec<f64>, f64, f64, Vec<f64>)> =
+                let lane_results: Vec<(Vec<f64>, f64, f64, Vec<f64>)> = engine.team(|| {
                     engine.map(actor_lanes, |i, actor| {
                         let elite = if cfg.shared_elite {
                             shared_elite_ref.as_ref().expect("shared elite built")
@@ -633,7 +640,8 @@ impl MaOpt {
                             fom_cfg,
                         );
                         (cand, loss, pred, elite.designs()[parent].clone())
-                    });
+                    })
+                });
                 timings.training += span.end();
 
                 // Simulate the first `n_props` proposals on the pool.

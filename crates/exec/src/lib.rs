@@ -27,6 +27,7 @@ pub mod metrics;
 pub mod pool;
 pub mod prom;
 pub mod queue;
+mod team;
 pub mod telemetry;
 pub mod trace;
 
@@ -37,6 +38,7 @@ pub use metrics::{
 };
 pub use pool::WorkerPool;
 pub use queue::BoundedQueue;
+pub use team::join;
 pub use telemetry::{CounterSnapshot, SpanStat, Telemetry};
 pub use trace::{TraceRecorder, TraceSnapshot};
 
@@ -391,6 +393,20 @@ impl EvalEngine {
                 pool.scope(|inner| body(&ExecScope { inner: Some(inner) }))
             }
             _ => body(&ExecScope { inner: None }),
+        }
+    }
+
+    /// Runs `body` as a two-thread team: the calling thread plus one idle
+    /// worker of this engine's pool, which takes the second half of every
+    /// [`join`] inside `body`. The team forms only when the caller is not
+    /// a pool worker and a worker is idle with nothing queued; otherwise
+    /// (and on a serial engine) `body` runs as is and each `join` runs
+    /// its halves inline. Use it around compute the calling thread does
+    /// while the pool waits, such as network training.
+    pub fn team<R>(&self, body: impl FnOnce() -> R) -> R {
+        match &self.pool {
+            Some(pool) => team::run(pool, body),
+            None => body(),
         }
     }
 

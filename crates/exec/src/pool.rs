@@ -129,6 +129,8 @@ pub struct WorkerPool {
     /// companion to the instantaneous [`WorkerPool::queue_len`] gauge,
     /// answering "did producers ever actually back up?" after the fact.
     peak_depth: AtomicUsize,
+    /// Workers currently waiting in the queue for a task.
+    idle: Arc<AtomicUsize>,
 }
 
 impl std::fmt::Debug for WorkerPool {
@@ -151,20 +153,27 @@ impl WorkerPool {
         let queue: Arc<BoundedQueue<Task>> = Arc::new(BoundedQueue::new(2 * workers));
         let tasks: Arc<Vec<AtomicU64>> =
             Arc::new((0..workers).map(|_| AtomicU64::new(0)).collect());
+        let idle = Arc::new(AtomicUsize::new(0));
         let handles = (0..workers)
             .map(|w| {
                 let queue = Arc::clone(&queue);
                 let tasks = Arc::clone(&tasks);
+                let idle = Arc::clone(&idle);
                 std::thread::Builder::new()
                     .name(format!("maopt-pool{id}-w{w}"))
                     .spawn(move || {
                         CURRENT_WORKER.with(|c| c.set((id, w)));
-                        while let Some(task) = queue.pop() {
+                        loop {
+                            idle.fetch_add(1, Ordering::Relaxed);
+                            let task = queue.pop();
+                            idle.fetch_sub(1, Ordering::Relaxed);
+                            let Some(task) = task else { break };
                             tasks[w].fetch_add(1, Ordering::Relaxed);
-                            // Tasks are built by `Scope::spawn`, which
-                            // catches panics itself; a panic here would
-                            // mean a bug in this module, and taking the
-                            // worker down with it is the loud option.
+                            // Tasks are built by `Scope::spawn` or are
+                            // team helpers, and both catch panics
+                            // themselves; a panic here would mean a bug
+                            // in this module, and taking the worker down
+                            // with it is the loud option.
                             task(w);
                         }
                     })
@@ -182,6 +191,7 @@ impl WorkerPool {
                 .collect(),
             depth: Arc::new(AtomicUsize::new(0)),
             peak_depth: AtomicUsize::new(0),
+            idle,
         })
     }
 
@@ -208,6 +218,33 @@ impl WorkerPool {
     /// [`crate::EvalEngine`] to run same-pool re-entrant work inline.
     pub fn is_current(&self) -> bool {
         CURRENT_WORKER.with(|c| c.get().0) == self.id
+    }
+
+    /// Whether the calling thread is a worker of any pool.
+    pub(crate) fn on_worker_thread() -> bool {
+        CURRENT_WORKER.with(|c| c.get().0) != 0
+    }
+
+    /// Workers currently waiting for a task (a racy sample, like
+    /// [`WorkerPool::queue_len`]).
+    pub fn idle_workers(&self) -> usize {
+        self.idle.load(Ordering::Relaxed)
+    }
+
+    /// The exact count of spawned tasks not yet picked up by a worker.
+    pub(crate) fn queued_counter(&self) -> Arc<AtomicUsize> {
+        Arc::clone(&self.depth)
+    }
+
+    /// Hands `task` to an idle worker when one is waiting and no spawned
+    /// task is queued; returns whether it did. Never blocks and never
+    /// queues `task` behind other work (a push racing another producer
+    /// can still land behind its task, so `task` must cope with running
+    /// late). Not a scoped spawn: `task` owns everything it touches.
+    pub(crate) fn try_recruit(&self, task: Task) -> bool {
+        self.idle.load(Ordering::Relaxed) > 0
+            && self.depth.load(Ordering::Relaxed) == 0
+            && self.queue.try_push(task)
     }
 
     /// Total tasks executed by each worker since the pool was spawned.

@@ -63,6 +63,19 @@ impl<T> BoundedQueue<T> {
         true
     }
 
+    /// Enqueues `item` only if there is room right now; never blocks.
+    /// Returns whether the item was enqueued (it is dropped otherwise).
+    pub fn try_push(&self, item: T) -> bool {
+        let mut st = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+        if st.closed || st.items.len() >= self.capacity {
+            return false;
+        }
+        st.items.push_back(item);
+        drop(st);
+        self.not_empty.notify_one();
+        true
+    }
+
     /// Blocks until an item is available; `None` once the queue is closed
     /// and drained.
     pub fn pop(&self) -> Option<T> {
@@ -148,6 +161,16 @@ mod tests {
             }
             assert_eq!(got, (0..100).collect::<Vec<_>>());
         });
+    }
+
+    #[test]
+    fn try_push_never_blocks() {
+        let q = BoundedQueue::new(1);
+        assert!(q.try_push(1));
+        assert!(!q.try_push(2), "full queue rejects without blocking");
+        assert_eq!(q.pop(), Some(1));
+        q.close();
+        assert!(!q.try_push(3), "closed queue rejects");
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Allocation-free dense kernels with a fixed reduction order.
 //!
 //! These are the hot inner loops of the neural-network stack: every
-//! `Dense` forward ([`matmul_nt_into`]) and backward ([`axpy`]) and
+//! `Dense` forward ([`matmul_nt_rows`]) and backward ([`axpy`]) and
 //! every batched critic prediction bottoms out here. Two contracts hold
 //! for every kernel in this module:
 //!
@@ -104,18 +104,8 @@ pub fn axpy(y: &mut [f64], alpha: f64, x: &[f64]) {
 const TILE: usize = 4;
 
 /// `a · bᵀ` written into `out` (resized by the kernel, reusing its
-/// capacity): `out[i][j] = dot(a.row(i), b.row(j))`.
-///
-/// Both operands are read row-wise, so a layer's out×in weight matrix
-/// is used as stored, without a transposed copy. The output is computed
-/// in `4×4` blocks, each as 16 independent scalar accumulator chains;
-/// independent chains hide the add latency that a single [`dot`] chain
-/// is bound by. Each chain starts at `-0.0`, adds `a[i][k] * b[j][k]` in
-/// strictly ascending `k`, never skips a zero and never fuses the
-/// multiply and add, so every element is bitwise identical to
-/// `dot(a.row(i), b.row(j))`. Rows and columns left over past the last
-/// full block are computed by [`dot`] itself. With `a.cols() == 0` every
-/// element is `-0.0`.
+/// capacity): `out[i][j] = dot(a.row(i), b.row(j))`. One
+/// [`matmul_nt_rows`] call over all of `a`'s rows.
 ///
 /// # Panics
 ///
@@ -130,13 +120,47 @@ pub fn matmul_nt_into(a: &Mat, b: &Mat, out: &mut Mat) {
         b.rows(),
         b.cols()
     );
-    let (m, n, k) = (a.rows(), b.rows(), a.cols());
-    out.resize_reset(m, n);
+    out.resize_reset(a.rows(), b.rows());
+    matmul_nt_rows(a.as_slice(), b, out.as_mut_slice());
+}
+
+/// `a · bᵀ` over a block of rows: `a` holds `m` consecutive rows of
+/// `b.cols()` values each (a row-major chunk of a [`Mat`]'s storage) and
+/// `out` receives the `m × b.rows()` product, row-major.
+///
+/// Both operands are read row-wise, so a layer's out×in weight matrix
+/// is used as stored, without a transposed copy. The output is computed
+/// in `4×4` blocks, each as 16 independent scalar accumulator chains;
+/// independent chains hide the add latency that a single [`dot`] chain
+/// is bound by. Each chain starts at `-0.0`, adds `a[i][k] * b[j][k]` in
+/// strictly ascending `k`, never skips a zero and never fuses the
+/// multiply and add, so every element is bitwise identical to
+/// `dot(a_row(i), b.row(j))` — whichever block of rows it is computed
+/// in. Rows and columns left over past the last full block are computed
+/// by [`dot`] itself. With `b.cols() == 0` every element is `-0.0`.
+///
+/// # Panics
+///
+/// Panics if `a` and `out` do not hold the same number of rows.
+pub fn matmul_nt_rows(a: &[f64], b: &Mat, out: &mut [f64]) {
+    let (n, k) = (b.rows(), b.cols());
+    if n == 0 {
+        assert!(out.is_empty(), "matmul_nt_rows: output has no columns");
+        return;
+    }
+    let m = out.len() / n;
+    assert!(
+        out.len() == m * n && a.len() == m * k,
+        "matmul_nt_rows: {} inputs and {} outputs are not {m} rows of {k} and {n}",
+        a.len(),
+        out.len()
+    );
+    let a_row = |i: usize| &a[i * k..][..k];
     let (m_full, n_full) = (m - m % TILE, n - n % TILE);
     for ib in (0..m_full).step_by(TILE) {
         // Rows sliced to exactly `k` let the compiler drop the bounds
         // checks on `kk` below, which keeps the tile loop vectorized.
-        let ar: [&[f64]; TILE] = std::array::from_fn(|r| &a.row(ib + r)[..k]);
+        let ar: [&[f64]; TILE] = std::array::from_fn(|r| a_row(ib + r));
         for jb in (0..n_full).step_by(TILE) {
             let br: [&[f64]; TILE] = std::array::from_fn(|c| &b.row(jb + c)[..k]);
             let mut acc = [[-0.0f64; TILE]; TILE];
@@ -150,18 +174,19 @@ pub fn matmul_nt_into(a: &Mat, b: &Mat, out: &mut Mat) {
                 }
             }
             for (r, acc_row) in acc.iter().enumerate() {
-                out.row_mut(ib + r)[jb..jb + TILE].copy_from_slice(acc_row);
+                let start = (ib + r) * n + jb;
+                out[start..start + TILE].copy_from_slice(acc_row);
             }
         }
         for (r, a_row) in ar.iter().enumerate() {
             for j in n_full..n {
-                out[(ib + r, j)] = dot(a_row, b.row(j));
+                out[(ib + r) * n + j] = dot(a_row, b.row(j));
             }
         }
     }
     for i in m_full..m {
         for j in 0..n {
-            out[(i, j)] = dot(a.row(i), b.row(j));
+            out[i * n + j] = dot(a_row(i), b.row(j));
         }
     }
 }
@@ -277,6 +302,22 @@ mod tests {
         // Reuse without reallocation: result must still be identical.
         matmul_into(&a, &b, &mut out);
         assert_eq!(out, reference);
+    }
+
+    #[test]
+    fn matmul_nt_rows_matches_whole_product_in_any_row_split() {
+        let a = seq_mat(11, 7, 0.8);
+        let b = seq_mat(6, 7, -1.2);
+        let mut whole = Mat::zeros(0, 0);
+        matmul_nt_into(&a, &b, &mut whole);
+        for mid in 0..=11 {
+            let mut out = vec![f64::NAN; 11 * 6];
+            let (oa, ob) = out.split_at_mut(mid * 6);
+            let (aa, ab) = a.as_slice().split_at(mid * 7);
+            matmul_nt_rows(aa, &b, oa);
+            matmul_nt_rows(ab, &b, ob);
+            assert_eq!(out, whole.as_slice(), "split at row {mid}");
+        }
     }
 
     #[test]

@@ -33,6 +33,45 @@ impl Activation {
         }
     }
 
+    /// `z ← apply(z + bias[j])` over rows of `bias.len()` values. The
+    /// variant is matched once, outside the loop, so the loop body is
+    /// the same straight-line code wherever the caller is inlined.
+    pub(crate) fn apply_biased_rows(self, rows: &mut [f64], bias: &[f64]) {
+        fn each(rows: &mut [f64], bias: &[f64], f: impl Fn(f64) -> f64) {
+            for row in rows.chunks_exact_mut(bias.len().max(1)) {
+                for (z, &b) in row.iter_mut().zip(bias) {
+                    *z = f(*z + b);
+                }
+            }
+        }
+        match self {
+            Activation::Identity => each(rows, bias, |v| Activation::Identity.apply(v)),
+            Activation::Relu => each(rows, bias, |v| Activation::Relu.apply(v)),
+            Activation::Tanh => each(rows, bias, |v| Activation::Tanh.apply(v)),
+            Activation::Sigmoid => each(rows, bias, |v| Activation::Sigmoid.apply(v)),
+        }
+    }
+
+    /// `dz ← grad · derivative_from_output(y)`, element by element, with
+    /// the variant matched once outside the loop.
+    pub(crate) fn scale_by_derivative(self, dz: &mut [f64], grad: &[f64], y: &[f64]) {
+        fn each(dz: &mut [f64], grad: &[f64], y: &[f64], f: impl Fn(f64) -> f64) {
+            for ((d, &g), &yv) in dz.iter_mut().zip(grad).zip(y) {
+                *d = g * f(yv);
+            }
+        }
+        match self {
+            Activation::Identity => each(dz, grad, y, |v| {
+                Activation::Identity.derivative_from_output(v)
+            }),
+            Activation::Relu => each(dz, grad, y, |v| Activation::Relu.derivative_from_output(v)),
+            Activation::Tanh => each(dz, grad, y, |v| Activation::Tanh.derivative_from_output(v)),
+            Activation::Sigmoid => each(dz, grad, y, |v| {
+                Activation::Sigmoid.derivative_from_output(v)
+            }),
+        }
+    }
+
     /// Derivative `f'(x)` expressed in terms of the *output* `y = f(x)`.
     ///
     /// All four supported activations admit this form, which lets backward

@@ -1,9 +1,38 @@
-use maopt_linalg::kernels::{axpy, debug_assert_finite, matmul_nt_into};
+use maopt_exec::join;
+use maopt_linalg::kernels::{axpy, debug_assert_finite, matmul_nt_rows};
 use maopt_linalg::Mat;
 use rand::rngs::StdRng;
 use rand::Rng;
 
 use crate::Activation;
+
+/// Batches below this many rows run every layer product on one thread;
+/// from here on [`Dense`] splits them in two under [`join`]. A
+/// single-row prediction is never split.
+const MIN_SPLIT_ROWS: usize = 8;
+
+/// Layers with fewer parameters than this zero their gradients and take
+/// their optimizer update on one thread; larger ones split them in two.
+pub(crate) const MIN_SPLIT_PARAMS: usize = 1024;
+
+/// Where a batch of `rows` rows is split in two: the first multiple of
+/// the kernel's 4-row tile at or past the middle.
+fn batch_mid(rows: usize) -> usize {
+    (rows / 2).next_multiple_of(4).min(rows)
+}
+
+/// Runs `a` and `b` under [`join`] when `split`, one after the other on
+/// this thread otherwise. Callers pass two halves of one computation
+/// whose output elements each half computes alone, so both paths give
+/// the same bits.
+pub(crate) fn fork(split: bool, a: impl FnOnce(), b: impl FnOnce() + Send) {
+    if split {
+        join(a, b);
+    } else {
+        a();
+        b();
+    }
+}
 
 /// A fully connected layer: `y = act(x·Wᵀ + b)`.
 ///
@@ -19,6 +48,11 @@ pub struct Dense {
     activation: Activation,
     grad_weights: Mat,
     grad_bias: Vec<f64>,
+    /// `∂L/∂z` (pre-activation) of the latest backward pass, batch ×
+    /// outputs: computed once, read by both its input- and
+    /// parameter-gradient products. Reused, so warm passes allocate
+    /// nothing.
+    dz: Mat,
 }
 
 impl Dense {
@@ -35,6 +69,7 @@ impl Dense {
             activation,
             grad_weights: Mat::zeros(outputs, inputs),
             grad_bias: vec![0.0; outputs],
+            dz: Mat::default(),
         }
     }
 
@@ -65,9 +100,14 @@ impl Dense {
 
     /// Forward pass over a batch (rows = samples): `out = act(x·Wᵀ + b)`,
     /// with `out` resized in place, so nothing is allocated once it is
-    /// warm. The product is one [`matmul_nt_into`] call over the out×in
-    /// weights as stored; it has no zero-skip, so a non-finite weight or
-    /// input always reaches the output.
+    /// warm. The product is [`matmul_nt_rows`] over the out×in weights as
+    /// stored; it has no zero-skip, so a non-finite weight or input
+    /// always reaches the output.
+    ///
+    /// Batches of 8 rows or more (`MIN_SPLIT_ROWS`) are split in two by
+    /// batch rows under [`maopt_exec::join`]: each half computes, biases
+    /// and activates its own output rows, so every element is produced
+    /// by one thread exactly as without the split.
     ///
     /// # Panics
     ///
@@ -78,12 +118,16 @@ impl Dense {
             self.weights.cols(),
             "dense layer input width mismatch"
         );
-        matmul_nt_into(x, &self.weights, out);
-        for s in 0..out.rows() {
-            for (z, &b) in out.row_mut(s).iter_mut().zip(&self.bias) {
-                *z = self.activation.apply(*z + b);
-            }
-        }
+        let (batch, k, n) = (x.rows(), x.cols(), self.outputs());
+        out.resize_reset(batch, n);
+        let rows = |x_rows: &[f64], out_rows: &mut [f64]| {
+            matmul_nt_rows(x_rows, &self.weights, out_rows);
+            self.activation.apply_biased_rows(out_rows, &self.bias);
+        };
+        let mid = batch_mid(batch);
+        let (xa, xb) = x.as_slice().split_at(mid * k);
+        let (oa, ob) = out.as_mut_slice().split_at_mut(mid * n);
+        fork(batch >= MIN_SPLIT_ROWS, || rows(xa, oa), || rows(xb, ob));
     }
 
     /// Backward pass over the forward pass that read `x` (the layer
@@ -94,10 +138,18 @@ impl Dense {
     /// Parameter gradients accumulate across calls until
     /// [`Dense::zero_grad`]; `accumulate_params = false` propagates
     /// through a frozen layer instead (used when training an actor
-    /// through the critic). The `dz == 0.0` fast path skips rows that
+    /// through the critic). The `dz == 0.0` fast path skips terms that
     /// cannot contribute — bitwise-neutral for finite operands, and debug
     /// builds assert the skipped operands really are finite so poisoned
     /// inputs are surfaced rather than laundered.
+    ///
+    /// Every output element is reduced by one loop in a fixed order:
+    /// `∂L/∂x[s]` over outputs `o` ascending, `∂L/∂W[o]` and `∂L/∂b[o]`
+    /// over samples `s` ascending. The pass runs in two phases: `dz` and
+    /// `∂L/∂x` by batch rows, then `∂L/∂W` and `∂L/∂b` by weight rows.
+    /// For batches of 8 rows or more (`MIN_SPLIT_ROWS`) each phase is split
+    /// in two under [`maopt_exec::join`] along those rows, so the split
+    /// changes no result bit.
     ///
     /// # Panics
     ///
@@ -115,29 +167,107 @@ impl Dense {
             (y.rows(), y.cols()),
             "backward called with mismatched gradient shape (did you forward first?)"
         );
-        let batch = grad_out.rows();
-        grad_in.resize_reset(batch, self.inputs());
-        for s in 0..batch {
-            for o in 0..self.outputs() {
-                let dz = grad_out[(s, o)] * self.activation.derivative_from_output(y[(s, o)]);
-                if dz == 0.0 {
-                    debug_assert_finite(x.row(s), "dense backward zero-skip (input)");
-                    debug_assert_finite(self.weights.row(o), "dense backward zero-skip (weights)");
-                    continue;
+        let (batch, n_in, n_out) = (grad_out.rows(), self.inputs(), self.outputs());
+        let (w_mid, o_mid) = self.param_split();
+        let (split, mid) = (batch >= MIN_SPLIT_ROWS, batch_mid(batch));
+        grad_in.resize_reset(batch, n_in);
+        let Dense {
+            weights,
+            activation,
+            grad_weights,
+            grad_bias,
+            dz,
+            ..
+        } = self;
+        let (weights, activation) = (&*weights, *activation);
+        dz.resize_reset(batch, n_out);
+        // `dz` and `∂L/∂x` for the samples from `s0` on whose rows `dz`
+        // and `gi` hold.
+        let input_grad = |s0: usize, dz: &mut [f64], gi: &mut [f64]| {
+            let rows = dz
+                .chunks_exact_mut(n_out.max(1))
+                .zip(gi.chunks_exact_mut(n_in.max(1)));
+            for (r, (dz_row, gi_row)) in rows.enumerate() {
+                let s = s0 + r;
+                activation.scale_by_derivative(dz_row, grad_out.row(s), y.row(s));
+                for (o, &d) in dz_row.iter().enumerate() {
+                    if d == 0.0 {
+                        debug_assert_finite(x.row(s), "dense backward zero-skip (input)");
+                        debug_assert_finite(weights.row(o), "dense backward zero-skip (weights)");
+                        continue;
+                    }
+                    axpy(gi_row, d, weights.row(o));
                 }
-                if accumulate_params {
-                    self.grad_bias[o] += dz;
-                    axpy(self.grad_weights.row_mut(o), dz, x.row(s));
-                }
-                axpy(grad_in.row_mut(s), dz, self.weights.row(o));
             }
+        };
+        let (dz_a, dz_b) = dz.as_mut_slice().split_at_mut(mid * n_out);
+        let (gi_a, gi_b) = grad_in.as_mut_slice().split_at_mut(mid * n_in);
+        fork(
+            split,
+            || input_grad(0, dz_a, gi_a),
+            || input_grad(mid, dz_b, gi_b),
+        );
+        if !accumulate_params {
+            return;
         }
+        // `∂L/∂W` and `∂L/∂b` for the outputs from `o0` on whose rows
+        // `gw` and `gb` hold.
+        let dz = &*dz;
+        let param_grad = |o0: usize, gw: &mut [f64], gb: &mut [f64]| {
+            for (r, gb_o) in gb.iter_mut().enumerate() {
+                let o = o0 + r;
+                let gw_row = &mut gw[r * n_in..][..n_in];
+                // The bias sum runs in a register and is stored once.
+                let mut bias_sum = *gb_o;
+                for s in 0..batch {
+                    let d = dz[(s, o)];
+                    if d == 0.0 {
+                        debug_assert_finite(x.row(s), "dense backward zero-skip (input)");
+                        continue;
+                    }
+                    bias_sum += d;
+                    axpy(gw_row, d, x.row(s));
+                }
+                *gb_o = bias_sum;
+            }
+        };
+        let (gw_a, gw_b) = grad_weights.as_mut_slice().split_at_mut(w_mid);
+        let (gb_a, gb_b) = grad_bias.split_at_mut(o_mid);
+        fork(
+            split,
+            || param_grad(0, gw_a, gb_a),
+            || param_grad(o_mid, gw_b, gb_b),
+        );
     }
 
-    /// Clears accumulated parameter gradients.
+    /// Clears accumulated parameter gradients, split by weight rows like
+    /// [`Dense::backward_into`]'s parameter gradients for layers of at
+    /// least 1024 parameters (`MIN_SPLIT_PARAMS`), so each half of a split
+    /// zeroes the rows it accumulates into next.
     pub fn zero_grad(&mut self) {
-        self.grad_weights.fill_zero();
-        self.grad_bias.fill(0.0);
+        let split = self.param_count() >= MIN_SPLIT_PARAMS;
+        let (w_mid, b_mid) = self.param_split();
+        let (gw_a, gw_b) = self.grad_weights.as_mut_slice().split_at_mut(w_mid);
+        let (gb_a, gb_b) = self.grad_bias.split_at_mut(b_mid);
+        fork(
+            split,
+            || {
+                gw_a.fill(0.0);
+                gb_a.fill(0.0);
+            },
+            || {
+                gw_b.fill(0.0);
+                gb_b.fill(0.0);
+            },
+        );
+    }
+
+    /// Where parameter-side work splits in two: the first half owns
+    /// weight rows `[0, outputs / 2)`, i.e. this many flat weights and
+    /// biases; the second half owns the rest.
+    pub(crate) fn param_split(&self) -> (usize, usize) {
+        let rows = self.outputs() / 2;
+        (rows * self.inputs(), rows)
     }
 
     /// Applies `params -= lr * grads` (plain SGD step).
@@ -150,7 +280,7 @@ impl Dense {
 
     /// Overwrites weights and bias from flat slices (checkpoint restore).
     /// Weight order matches `weights().as_slice()` (row-major, rows =
-    /// outputs), i.e. the same order [`Dense::visit_params_mut`] walks.
+    /// outputs), i.e. the order of [`Dense::params_and_grads_mut`].
     ///
     /// # Panics
     ///
@@ -170,19 +300,15 @@ impl Dense {
         self.bias.copy_from_slice(bias);
     }
 
-    /// Visits `(parameter, gradient)` pairs mutably — used by optimizers.
-    pub(crate) fn visit_params_mut(&mut self, mut f: impl FnMut(&mut f64, f64)) {
-        for (w, g) in self
-            .weights
-            .as_mut_slice()
-            .iter_mut()
-            .zip(self.grad_weights.as_slice())
-        {
-            f(w, *g);
-        }
-        for (b, g) in self.bias.iter_mut().zip(&self.grad_bias) {
-            f(b, *g);
-        }
+    /// The weights and bias, mutably, with their gradients — flat, in
+    /// the order [`Dense::load_params`] uses — for optimizers.
+    pub(crate) fn params_and_grads_mut(&mut self) -> (&mut [f64], &[f64], &mut [f64], &[f64]) {
+        (
+            self.weights.as_mut_slice(),
+            self.grad_weights.as_slice(),
+            &mut self.bias,
+            &self.grad_bias,
+        )
     }
 
     /// Total number of trainable parameters.
