@@ -10,10 +10,9 @@
 //!
 //! The utilization report answers the questions a timeline makes you
 //! scroll for: per-worker busy fraction and longest idle gap, per-phase
-//! latency percentiles (p50/p95/p99 through the same fixed log-bucket
-//! histogram the metrics registry uses, so numbers agree with a live
-//! `metrics` scrape), and the top-K slowest simulations with their
-//! design provenance hashes.
+//! total time and exact latency percentiles (p50/p95/p99 over every
+//! recorded span), and the top-K slowest simulations with their design
+//! provenance hashes.
 //!
 //! [JSON trace event format]:
 //! https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU
@@ -21,7 +20,7 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-use maopt_exec::{MetricSnapshot, MetricsRegistry};
+use maopt_linalg::stats::percentile;
 use maopt_obs::json::Json;
 use maopt_obs::{TraceData, TraceEvent, TraceEventKind};
 
@@ -123,7 +122,7 @@ fn fmt_dur_ns(ns: u64) -> String {
 }
 
 /// Renders the utilization report: per-thread busy fractions, per-phase
-/// latency percentiles, and the `top_k` slowest `sim` spans with their
+/// totals and latency percentiles, and the `top_k` slowest `sim` spans with their
 /// design hashes. Returns a fixed note for a trace with no events.
 #[must_use]
 pub fn render_utilization(data: &TraceData, top_k: usize) -> String {
@@ -167,31 +166,36 @@ pub fn render_utilization(data: &TraceData, top_k: usize) -> String {
         );
     }
 
-    // ---- per-phase latency percentiles -----------------------------
-    // The same fixed log-bucket histogram as the live registry, so a
-    // trace report and a `metrics` scrape quote comparable quantiles.
-    let registry = MetricsRegistry::new();
-    let mut calls: BTreeMap<&str, u64> = BTreeMap::new();
+    // ---- per-phase totals and latency percentiles -------------------
+    let mut phases: BTreeMap<&str, Vec<f64>> = BTreeMap::new();
     for event in &data.events {
         if let TraceEventKind::Span { dur_ns } = event.kind {
-            registry.observe(&event.name, dur_ns as f64 / 1e9);
-            *calls.entry(event.name.as_str()).or_default() += 1;
+            phases
+                .entry(event.name.as_str())
+                .or_default()
+                .push(dur_ns as f64);
         }
     }
-    out.push_str("\n| phase | calls | p50 | p95 | p99 |\n");
-    out.push_str("|---|---:|---:|---:|---:|\n");
-    for metric in registry.snapshot() {
-        let MetricSnapshot::Histogram(h) = metric else {
-            continue;
-        };
+    out.push_str("\n| phase | calls | total | p50 | p95 | p99 |\n");
+    out.push_str("|---|---:|---:|---:|---:|---:|\n");
+    for (name, durs) in &phases {
+        let total: f64 = durs.iter().sum();
+        let q = |p| fmt_dur_ns(percentile(durs, p) as u64);
         let _ = writeln!(
             out,
-            "| {} | {} | {} | {} | {} |",
-            h.name,
-            calls.get(h.name.as_str()).copied().unwrap_or(0),
-            fmt_dur_ns((h.quantile(0.5) * 1e9) as u64),
-            fmt_dur_ns((h.quantile(0.95) * 1e9) as u64),
-            fmt_dur_ns((h.quantile(0.99) * 1e9) as u64),
+            "| {name} | {} | {} | {} | {} | {} |",
+            durs.len(),
+            fmt_dur_ns(total as u64),
+            q(50.0),
+            q(95.0),
+            q(99.0),
+        );
+    }
+    let dropped: u64 = data.threads.iter().map(|t| t.dropped).sum();
+    if dropped > 0 {
+        let _ = writeln!(
+            out,
+            "\n{dropped} events were dropped by the flight recorder, so the calls and totals above undercount."
         );
     }
 
@@ -329,7 +333,14 @@ mod tests {
         let report = render_utilization(&sample(), 1);
         assert!(report.contains("| maopt-pool1-w0 | 2 | 50.0%"), "{report}");
         assert!(report.contains("| 3 |"), "dropped count shown: {report}");
-        assert!(report.contains("| sim | 2 |"), "per-phase calls: {report}");
+        assert!(
+            report.contains("| sim | 2 | 0.5us |"),
+            "per-phase calls and total: {report}"
+        );
+        assert!(
+            report.contains("3 events were dropped"),
+            "dropped events flagged: {report}"
+        );
         assert!(report.contains("top 1 slowest simulations"), "{report}");
         assert!(
             report.contains("00000000000000ff"),
@@ -363,6 +374,30 @@ mod tests {
         // A trace without DC spans omits the section entirely.
         let plain = render_utilization(&sample(), 1);
         assert!(!plain.contains("warm-start outcome"), "{plain}");
+    }
+
+    #[test]
+    fn phase_percentiles_and_totals_are_exact() {
+        // 100 spans of 1, 2, …, 100 ms: the interpolated median is
+        // 50.5 ms, and the spans sum to 5.05 s.
+        let mut text = String::from(concat!(
+            "{\"trace\":\"maopt\",\"version\":1}\n",
+            "{\"kind\":\"thread\",\"tid\":0,\"label\":\"main\",\"dropped\":0}\n",
+        ));
+        let mut t_ns = 0u64;
+        for ms in 1..=100u64 {
+            let dur_ns = ms * 1_000_000;
+            text.push_str(&format!(
+                "{{\"kind\":\"span\",\"tid\":0,\"name\":\"critic_training\",\"t_ns\":{t_ns},\"dur_ns\":{dur_ns}}}\n"
+            ));
+            t_ns += dur_ns;
+        }
+        let report = render_utilization(&parse_trace(&text).unwrap(), 1);
+        assert!(
+            report.contains("| critic_training | 100 | 5.050s | 50.500ms | 95.050ms | 99.010ms |"),
+            "{report}"
+        );
+        assert!(!report.contains("dropped by"), "{report}");
     }
 
     #[test]

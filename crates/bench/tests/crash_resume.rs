@@ -98,10 +98,12 @@ fn any_checkpoint(dir: &Path) -> bool {
             if path.is_dir() {
                 stack.push(path);
             } else if path.file_name().is_some_and(|n| {
-                // Generation-rotated snapshots (`run0.ckpt.0001.bin`) or a
-                // legacy bare `run0.ckpt`; never a `.tmp` still in flight.
-                let n = n.to_string_lossy();
-                n.ends_with(".ckpt") || (n.contains(".ckpt.") && n.ends_with(".bin"))
+                // Only a generation-rotated snapshot (`run0.ckpt.0001.bin`);
+                // never a `.tmp` still in flight.
+                n.to_string_lossy()
+                    .split_once(".ckpt.")
+                    .and_then(|(_, rest)| rest.strip_suffix(".bin"))
+                    .is_some_and(|g| !g.is_empty() && g.bytes().all(|b| b.is_ascii_digit()))
             }) {
                 return true;
             }

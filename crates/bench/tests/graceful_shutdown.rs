@@ -94,10 +94,12 @@ fn run_journals(dir: &Path) -> Vec<PathBuf> {
 fn any_checkpoint(dir: &Path) -> bool {
     !files_under(dir, |p| {
         p.file_name().is_some_and(|n| {
-            // Generation-rotated snapshots (`run0.ckpt.0001.bin`) or a
-            // legacy bare `run0.ckpt`; never a `.tmp` still in flight.
-            let n = n.to_string_lossy();
-            n.ends_with(".ckpt") || (n.contains(".ckpt.") && n.ends_with(".bin"))
+            // Only a generation-rotated snapshot (`run0.ckpt.0001.bin`);
+            // never a `.tmp` still in flight.
+            n.to_string_lossy()
+                .split_once(".ckpt.")
+                .and_then(|(_, rest)| rest.strip_suffix(".bin"))
+                .is_some_and(|g| !g.is_empty() && g.bytes().all(|b| b.is_ascii_digit()))
         })
     })
     .is_empty()

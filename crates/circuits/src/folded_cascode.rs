@@ -23,9 +23,9 @@ use maopt_sim::analysis::ac::AcAnalysis;
 use maopt_sim::analysis::dc::DcAnalysis;
 use maopt_sim::analysis::measure::Bode;
 use maopt_sim::analysis::noise::NoiseAnalysis;
-use maopt_sim::{nmos_180nm, pmos_180nm, Circuit, MosInstance, SimError};
+use maopt_sim::{nmos_180nm, pmos_180nm, Circuit, SimError};
 
-use crate::util::{ff, slot, um};
+use crate::util::{ff, mos, slot};
 
 const VDD: f64 = 1.8;
 const VCM: f64 = 0.9;
@@ -229,10 +229,6 @@ impl FoldedCascodeOta {
         ckt
     }
 
-    fn try_evaluate(&self, x: &[f64]) -> Result<Vec<f64>, SimError> {
-        self.try_evaluate_seeded(x, None).map(|(m, _)| m)
-    }
-
     /// Full evaluation with an optional advisory operating-point seed from a
     /// reference design; the single Newton solve is seed slot 0.
     fn try_evaluate_seeded(
@@ -279,15 +275,6 @@ impl FoldedCascodeOta {
     }
 }
 
-fn mos(model: &maopt_sim::MosModel, w_um: f64, l_um: f64, m: f64) -> MosInstance {
-    MosInstance {
-        model: model.clone(),
-        w: um(w_um),
-        l: um(l_um),
-        m,
-    }
-}
-
 impl SizingProblem for FoldedCascodeOta {
     fn name(&self) -> &str {
         "folded_cascode_ota"
@@ -316,8 +303,7 @@ impl SizingProblem for FoldedCascodeOta {
     }
 
     fn evaluate(&self, x: &[f64]) -> Vec<f64> {
-        self.try_evaluate(x)
-            .unwrap_or_else(|_| self.failure_metrics())
+        self.evaluate_seeded(x, None).0
     }
 
     fn evaluate_seeded(&self, x: &[f64], seed: Option<&OpState>) -> (Vec<f64>, Option<OpState>) {

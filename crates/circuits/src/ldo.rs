@@ -19,9 +19,9 @@ use maopt_core::{OpState, ParamSpec, SizingProblem, Spec};
 use maopt_sim::analysis::ac::AcAnalysis;
 use maopt_sim::analysis::dc::DcAnalysis;
 use maopt_sim::analysis::tran::{Integrator, TranAnalysis};
-use maopt_sim::{nmos_180nm, pmos_180nm, Circuit, ElementId, MosInstance, SimError, Waveform};
+use maopt_sim::{nmos_180nm, pmos_180nm, Circuit, ElementId, SimError, Waveform};
 
-use crate::util::{ff, kohm, slot, um, windowed_settling_abs};
+use crate::util::{ff, kohm, mos, slot, windowed_settling_abs};
 
 const VIN_NOM: f64 = 3.3;
 const VIN_LOW: f64 = 2.0;
@@ -274,10 +274,6 @@ impl LdoRegulator {
         Ok(windowed_settling_abs(&res, vout, T_STEP, 0.018))
     }
 
-    fn try_evaluate(&self, x: &[f64]) -> Result<Vec<f64>, SimError> {
-        self.try_evaluate_seeded(x, None).map(|(m, _)| m)
-    }
-
     /// Full evaluation with an optional advisory operating-point seed. Only
     /// the *nominal* DC solve (slot 0) takes a cross-design seed — every
     /// corner and transient solve already warm-starts from the nominal
@@ -343,15 +339,6 @@ impl LdoRegulator {
     }
 }
 
-fn mos(model: &maopt_sim::MosModel, w_um: f64, l_um: f64, m: f64) -> MosInstance {
-    MosInstance {
-        model: model.clone(),
-        w: um(w_um),
-        l: um(l_um),
-        m,
-    }
-}
-
 impl SizingProblem for LdoRegulator {
     fn name(&self) -> &str {
         "ldo_regulator"
@@ -383,8 +370,7 @@ impl SizingProblem for LdoRegulator {
     }
 
     fn evaluate(&self, x: &[f64]) -> Vec<f64> {
-        self.try_evaluate(x)
-            .unwrap_or_else(|_| self.failure_metrics())
+        self.evaluate_seeded(x, None).0
     }
 
     fn evaluate_seeded(&self, x: &[f64], seed: Option<&OpState>) -> (Vec<f64>, Option<OpState>) {

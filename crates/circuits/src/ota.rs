@@ -24,9 +24,9 @@ use maopt_sim::analysis::dc::DcAnalysis;
 use maopt_sim::analysis::measure::Bode;
 use maopt_sim::analysis::noise::NoiseAnalysis;
 use maopt_sim::analysis::tran::TranAnalysis;
-use maopt_sim::{nmos_180nm, pmos_180nm, Circuit, MosInstance, SimError, Waveform};
+use maopt_sim::{nmos_180nm, pmos_180nm, Circuit, Node, SimError, Waveform};
 
-use crate::util::{ff, kohm, slot, um, windowed_settling};
+use crate::util::{ff, kohm, mos, slot, windowed_settling};
 
 const VDD: f64 = 1.8;
 const VCM: f64 = 0.9;
@@ -125,8 +125,6 @@ impl TwoStageOta {
     /// inverting input is tied to the output through a 1 GΩ resistor and
     /// AC-grounded through a 1 F capacitor to `cmref`.
     fn build_main(&self, s: &Sizing, mode: AcMode) -> Circuit {
-        let nmos = nmos_180nm();
-        let pmos = pmos_180nm();
         let mut ckt = Circuit::new();
         let vdd = ckt.node("vdd");
         let inp = ckt.node("inp"); // non-inverting (gate of M2)
@@ -149,75 +147,18 @@ impl TwoStageOta {
         ckt.vsource_ac("VIN", inp, gnd, VCM, ac_in);
         ckt.vsource_ac("VCMREF", cmref, gnd, VCM, ac_cm);
 
-        // Bias chain: IREF through a diode NMOS sets the mirror gate.
-        ckt.isource("IB", vdd, bias, IREF);
-        ckt.mosfet("MB", bias, bias, gnd, gnd, mos(&nmos, 2.0, 1.0, 1.0));
-
-        // First stage.
-        ckt.mosfet(
-            "M5",
-            tail,
-            bias,
-            gnd,
-            gnd,
-            mos(&nmos, s.w_um[2], s.l_um[2], 1.0),
-        );
-        ckt.mosfet(
-            "M1",
-            d1,
-            fb,
-            tail,
-            gnd,
-            mos(&nmos, s.w_um[0], s.l_um[0], s.n[0]),
-        );
-        ckt.mosfet(
-            "M2",
-            d2,
+        let nodes = AmpNodes {
+            vdd,
             inp,
+            inn: fb,
             tail,
-            gnd,
-            mos(&nmos, s.w_um[0], s.l_um[0], s.n[0]),
-        );
-        ckt.mosfet(
-            "M3",
             d1,
-            d1,
-            vdd,
-            vdd,
-            mos(&pmos, s.w_um[1], s.l_um[1], s.n[1]),
-        );
-        ckt.mosfet(
-            "M4",
             d2,
-            d1,
-            vdd,
-            vdd,
-            mos(&pmos, s.w_um[1], s.l_um[1], s.n[1]),
-        );
-
-        // Second stage with Miller compensation (R in series with C).
-        ckt.mosfet(
-            "M6",
-            out,
-            d2,
-            vdd,
-            vdd,
-            mos(&pmos, s.w_um[3], s.l_um[3], s.n[2]),
-        );
-        ckt.mosfet(
-            "M7",
             out,
             bias,
-            gnd,
-            gnd,
-            mos(&nmos, s.w_um[4], s.l_um[4], 1.0),
-        );
-        ckt.resistor("RZ", d2, zn, kohm(s.r_kohm));
-        ckt.capacitor("CC", zn, out, ff(s.c_ff));
-
-        // Output loading.
-        ckt.capacitor("CF", out, gnd, ff(s.cf_ff));
-        ckt.capacitor("CLOAD", out, gnd, CL);
+            zn,
+        };
+        add_amplifier(&mut ckt, s, &nodes);
 
         // Open-loop bias network.
         ckt.resistor("RFB", out, fb, RFB);
@@ -228,8 +169,6 @@ impl TwoStageOta {
     /// Unity-gain buffer for settling and noise: the inverting input is the
     /// output node itself.
     fn build_buffer(&self, s: &Sizing, step: bool) -> Circuit {
-        let nmos = nmos_180nm();
-        let pmos = pmos_180nm();
         let mut ckt = Circuit::new();
         let vdd = ckt.node("vdd");
         let inp = ckt.node("inp");
@@ -257,74 +196,20 @@ impl TwoStageOta {
                 ),
             );
         }
-        ckt.isource("IB", vdd, bias, IREF);
-        ckt.mosfet("MB", bias, bias, gnd, gnd, mos(&nmos, 2.0, 1.0, 1.0));
-        ckt.mosfet(
-            "M5",
-            tail,
-            bias,
-            gnd,
-            gnd,
-            mos(&nmos, s.w_um[2], s.l_um[2], 1.0),
-        );
         // Feedback: gate of M1 (inverting input) is the output.
-        ckt.mosfet(
-            "M1",
-            d1,
-            out,
-            tail,
-            gnd,
-            mos(&nmos, s.w_um[0], s.l_um[0], s.n[0]),
-        );
-        ckt.mosfet(
-            "M2",
-            d2,
+        let nodes = AmpNodes {
+            vdd,
             inp,
+            inn: out,
             tail,
-            gnd,
-            mos(&nmos, s.w_um[0], s.l_um[0], s.n[0]),
-        );
-        ckt.mosfet(
-            "M3",
             d1,
-            d1,
-            vdd,
-            vdd,
-            mos(&pmos, s.w_um[1], s.l_um[1], s.n[1]),
-        );
-        ckt.mosfet(
-            "M4",
             d2,
-            d1,
-            vdd,
-            vdd,
-            mos(&pmos, s.w_um[1], s.l_um[1], s.n[1]),
-        );
-        ckt.mosfet(
-            "M6",
-            out,
-            d2,
-            vdd,
-            vdd,
-            mos(&pmos, s.w_um[3], s.l_um[3], s.n[2]),
-        );
-        ckt.mosfet(
-            "M7",
             out,
             bias,
-            gnd,
-            gnd,
-            mos(&nmos, s.w_um[4], s.l_um[4], 1.0),
-        );
-        ckt.resistor("RZ", d2, zn, kohm(s.r_kohm));
-        ckt.capacitor("CC", zn, out, ff(s.c_ff));
-        ckt.capacitor("CF", out, gnd, ff(s.cf_ff));
-        ckt.capacitor("CLOAD", out, gnd, CL);
+            zn,
+        };
+        add_amplifier(&mut ckt, s, &nodes);
         ckt
-    }
-
-    fn try_evaluate(&self, x: &[f64]) -> Result<Vec<f64>, SimError> {
-        self.try_evaluate_seeded(x, None).map(|(m, _)| m)
     }
 
     /// Full evaluation with an optional advisory operating-point seed from a
@@ -403,14 +288,53 @@ impl TwoStageOta {
     }
 }
 
-/// Builds a [`MosInstance`] from micron geometry.
-fn mos(model: &maopt_sim::MosModel, w_um: f64, l_um: f64, m: f64) -> MosInstance {
-    MosInstance {
-        model: model.clone(),
-        w: um(w_um),
-        l: um(l_um),
-        m,
-    }
+/// The amplifier's nodes in a testbench; `inn`, the gate of M1, is the
+/// only one the two benches wire differently.
+struct AmpNodes {
+    vdd: Node,
+    inp: Node,
+    inn: Node,
+    tail: Node,
+    d1: Node,
+    d2: Node,
+    out: Node,
+    bias: Node,
+    zn: Node,
+}
+
+/// Adds the two-stage amplifier to a testbench whose nodes and sources
+/// already exist: bias chain, differential pair with mirror load, the
+/// Miller-compensated second stage and the output load.
+fn add_amplifier(ckt: &mut Circuit, s: &Sizing, n: &AmpNodes) {
+    let nmos = nmos_180nm();
+    let pmos = pmos_180nm();
+    let gnd = Circuit::GROUND;
+
+    // Bias chain: IREF through a diode NMOS sets the mirror gate.
+    ckt.isource("IB", n.vdd, n.bias, IREF);
+    ckt.mosfet("MB", n.bias, n.bias, gnd, gnd, mos(&nmos, 2.0, 1.0, 1.0));
+
+    // First stage.
+    let pair = mos(&nmos, s.w_um[0], s.l_um[0], s.n[0]);
+    let load = mos(&pmos, s.w_um[1], s.l_um[1], s.n[1]);
+    let tail = mos(&nmos, s.w_um[2], s.l_um[2], 1.0);
+    ckt.mosfet("M5", n.tail, n.bias, gnd, gnd, tail);
+    ckt.mosfet("M1", n.d1, n.inn, n.tail, gnd, pair.clone());
+    ckt.mosfet("M2", n.d2, n.inp, n.tail, gnd, pair);
+    ckt.mosfet("M3", n.d1, n.d1, n.vdd, n.vdd, load.clone());
+    ckt.mosfet("M4", n.d2, n.d1, n.vdd, n.vdd, load);
+
+    // Second stage with Miller compensation (R in series with C).
+    let m6 = mos(&pmos, s.w_um[3], s.l_um[3], s.n[2]);
+    let m7 = mos(&nmos, s.w_um[4], s.l_um[4], 1.0);
+    ckt.mosfet("M6", n.out, n.d2, n.vdd, n.vdd, m6);
+    ckt.mosfet("M7", n.out, n.bias, gnd, gnd, m7);
+    ckt.resistor("RZ", n.d2, n.zn, kohm(s.r_kohm));
+    ckt.capacitor("CC", n.zn, n.out, ff(s.c_ff));
+
+    // Output loading.
+    ckt.capacitor("CF", n.out, gnd, ff(s.cf_ff));
+    ckt.capacitor("CLOAD", n.out, gnd, CL);
 }
 
 impl SizingProblem for TwoStageOta {
@@ -444,8 +368,7 @@ impl SizingProblem for TwoStageOta {
     }
 
     fn evaluate(&self, x: &[f64]) -> Vec<f64> {
-        self.try_evaluate(x)
-            .unwrap_or_else(|_| self.failure_metrics())
+        self.evaluate_seeded(x, None).0
     }
 
     fn evaluate_seeded(&self, x: &[f64], seed: Option<&OpState>) -> (Vec<f64>, Option<OpState>) {

@@ -1,7 +1,8 @@
 //! Deterministic storage-fault injection for the atomic write path.
 //!
 //! [`FaultFs`] decides, purely from a seed and the destination path,
-//! whether a [`crate::save_tagged`] call should suffer a disk fault and
+//! whether one container write ([`crate::GenStore::save_next`] makes one
+//! per generation attempt) should suffer a disk fault and
 //! which one:
 //!
 //! * **ENOSPC** — the temp-file write fails halfway (device full). When
@@ -26,8 +27,8 @@
 //! so a hard fault on one generation does not pin the store forever:
 //! the retry draws independently.
 //!
-//! Tests pass a [`FaultFs`] explicitly ([`crate::save_tagged_with`],
-//! [`crate::GenStore::with_faults`]); whole-process chaos (subprocess
+//! Tests pass a [`FaultFs`] explicitly
+//! ([`crate::GenStore::with_faults`]); whole-process chaos (subprocess
 //! daemons, CI smoke jobs) activates a global injector through the
 //! [`FAULTS_ENV`] environment variable instead.
 
@@ -36,7 +37,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, Once, PoisonError};
 
 /// Environment variable holding a [`FaultConfig::parse`] spec; when set,
-/// every [`crate::save_tagged`] in the process runs under that injector.
+/// every container write in the process runs under that injector.
 pub const FAULTS_ENV: &str = "MAOPT_CKPT_FAULTS";
 
 /// The fault kinds [`FaultFs`] can inject into one write.
@@ -255,11 +256,6 @@ impl FaultFs {
             self.injected[3].load(Ordering::Relaxed),
         ]
     }
-
-    /// Total faults injected so far.
-    pub fn injected_total(&self) -> u64 {
-        self.injected().iter().sum()
-    }
 }
 
 fn global() -> &'static Mutex<Option<Arc<FaultFs>>> {
@@ -268,9 +264,9 @@ fn global() -> &'static Mutex<Option<Arc<FaultFs>>> {
 }
 
 /// Installs (or, with `None`, removes) the process-global injector every
-/// [`crate::save_tagged`] consults, returning what is now installed.
+/// container write consults, returning what is now installed.
 /// Unit tests should prefer passing an injector explicitly
-/// ([`crate::save_tagged_with`], [`crate::GenStore::with_faults`]);
+/// ([`crate::GenStore::with_faults`]);
 /// the global exists for whole-process chaos.
 pub fn install_faults(faults: Option<FaultFs>) -> Option<Arc<FaultFs>> {
     let installed = faults.map(Arc::new);
@@ -390,6 +386,6 @@ mod tests {
         for i in 0..128 {
             assert_eq!(f.decide(&PathBuf::from(format!("/q/{i}"))), None);
         }
-        assert_eq!(f.injected_total(), 0);
+        assert_eq!(f.injected(), [0; 4]);
     }
 }

@@ -2,7 +2,8 @@
 //!
 //! A [`GenStore`] maps a logical path like `run.ckpt` onto a rotated
 //! family of sibling files — `run.ckpt.0001.bin`, `run.ckpt.0002.bin`,
-//! … — each a complete [`crate::save_tagged`] container. Writes always
+//! … — each a complete tagged container ([`crate::load_tagged`] reads
+//! one). Writes always
 //! create a *new* generation and then garbage-collect all but the
 //! newest `keep`; loads walk generations newest-first and fall back to
 //! the last good one when the newest is corrupt, reporting how many
@@ -19,7 +20,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use crate::faults::{active_faults, FaultFs};
-use crate::{load_tagged, save_tagged_with, CkptError};
+use crate::{load_tagged, save_tagged, CkptError};
 
 /// Generations retained after a successful save (the new one included).
 pub const DEFAULT_KEEP: usize = 3;
@@ -34,8 +35,7 @@ const SAVE_ATTEMPTS: u64 = 4;
 pub struct GenLoad<T> {
     /// The decoded payload.
     pub value: T,
-    /// Which generation supplied it (0 = the legacy un-rotated base
-    /// file).
+    /// Which generation supplied it.
     pub generation: u64,
     /// Newer generations that existed but failed validation and were
     /// skipped — each one a rollback the caller should record.
@@ -162,7 +162,7 @@ impl GenStore {
         for attempt in 0..SAVE_ATTEMPTS {
             let g = next + attempt;
             let path = self.generation_path(g)?;
-            match save_tagged_with(&path, &self.magic, self.version, payload, faults.as_deref()) {
+            match save_tagged(&path, &self.magic, self.version, payload, faults.as_deref()) {
                 Ok(()) => {
                     self.collect_garbage(g);
                     return Ok(g);
@@ -198,8 +198,8 @@ impl GenStore {
     /// Loads the newest generation that validates, decoding through
     /// `decode`. Zero-length generations (an interrupted create) are
     /// treated as missing; corrupt ones are skipped and counted in
-    /// [`GenLoad::rolled_back`]. When no generation exists, the bare
-    /// base path is tried as generation 0 (pre-rotation state dirs).
+    /// [`GenLoad::rolled_back`]. Only `<base>.NNNN.bin` files are
+    /// generations; a bare file at the base path itself is ignored.
     ///
     /// # Errors
     ///
@@ -211,9 +211,7 @@ impl GenStore {
         mut decode: impl FnMut(&[u8]) -> Result<T, CkptError>,
     ) -> Result<Option<GenLoad<T>>, CkptError> {
         let mut rolled_back = 0u64;
-        let gens = self.generations()?;
-        let legacy = std::iter::once((0u64, self.base.clone()));
-        for (g, path) in gens.into_iter().rev().chain(legacy) {
+        for (g, path) in self.generations()?.into_iter().rev() {
             match fs::metadata(&path) {
                 Ok(m) if m.len() == 0 => continue, // interrupted create = missing
                 Ok(_) => {}
@@ -256,7 +254,6 @@ impl GenStore {
 mod tests {
     use super::*;
     use crate::faults::{FaultConfig, WriteFault};
-    use crate::save_tagged;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     const MAGIC: &[u8; 8] = b"MAOPTTST";
@@ -359,16 +356,18 @@ mod tests {
     }
 
     #[test]
-    fn empty_store_is_none_and_legacy_base_file_is_generation_zero() {
-        let store = tmp_store("legacy");
+    fn empty_store_and_bare_base_file_load_as_none() {
+        let store = tmp_store("bare");
         assert!(store.load_latest_good().unwrap().is_none());
-        save_tagged(store.base(), MAGIC, 1, b"pre-rotation").unwrap();
-        let load = store.load_latest_good().unwrap().unwrap();
-        assert_eq!(load.value, b"pre-rotation");
-        assert_eq!(load.generation, 0);
-        // A rotated save then shadows the legacy file.
+        // A valid container at the base path itself is not a generation.
+        save_tagged(store.base(), MAGIC, 1, b"bare", None).unwrap();
+        assert!(store.load_latest_good().unwrap().is_none());
         store.save_next(b"rotated").unwrap();
-        assert_eq!(store.load_latest_good().unwrap().unwrap().value, b"rotated");
+        let load = store.load_latest_good().unwrap().unwrap();
+        assert_eq!(
+            (load.value.as_slice(), load.generation),
+            (&b"rotated"[..], 1)
+        );
         cleanup(&store);
     }
 

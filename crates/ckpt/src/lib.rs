@@ -19,15 +19,19 @@
 //! floats are stored as `f64::to_bits` so round-trips are exact. Vectors
 //! and strings are length-prefixed. The payload layout is private to this
 //! crate and only promised to round-trip through
-//! [`save_snapshot`]/[`load_snapshot`] at the same [`FORMAT_VERSION`].
+//! [`save_snapshot_gen`]/[`load_snapshot_gen`] at the same
+//! [`FORMAT_VERSION`].
 //!
 //! # Durability
 //!
-//! [`save_snapshot`] writes to a sibling temp file, `fsync`s it, renames
-//! over the destination, then `fsync`s the parent directory — so at any
-//! kill point the destination holds either the previous complete snapshot
-//! or the new one, never a torn mix. The checksum catches torn or
-//! bit-flipped files from less well-behaved storage at load time.
+//! Every container is written by [`GenStore::save_next`] as a fresh
+//! generation file (`<base>.NNNN.bin`): the bytes go to a sibling temp
+//! file, which is `fsync`ed and renamed into place before the parent
+//! directory is `fsync`ed — so at any kill point a generation either
+//! exists complete or not at all, and the older generations stay
+//! untouched. The checksum catches torn or bit-flipped files from less
+//! well-behaved storage at load time, and the store then falls back to
+//! the newest generation that validates.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -566,27 +570,11 @@ fn create_dir_all_durable(dir: &Path) -> std::io::Result<()> {
 /// loss. After any kill point `path` holds either the previous complete
 /// file or this one, never a torn mix.
 ///
-/// [`save_snapshot`] is this with the `MAOPTCKP` tag and the binary
-/// snapshot codec; other subsystems (the serve daemon's job-queue
-/// manifest) reuse the same durable path with their own magic.
-///
-/// # Errors
-///
-/// Propagates filesystem failures as [`CkptError::Io`]; a `path` without
-/// a file name is [`CkptError::Corrupt`].
-pub fn save_tagged(
-    path: &Path,
-    magic: &[u8; 8],
-    version: u32,
-    payload: &[u8],
-) -> Result<(), CkptError> {
-    save_tagged_with(path, magic, version, payload, active_faults().as_deref())
-}
-
-/// [`save_tagged`] with an explicit fault injector, the single seam every
-/// checkpoint byte passes through. With `faults: None` (or a quiet
-/// injector) this *is* the production write path; with an injector it
-/// deterministically exercises the four storage failure modes:
+/// This is the single seam every checkpoint byte passes through;
+/// [`GenStore::save_next`] calls it once per generation attempt with the
+/// store's fault injector. With `faults: None` (or a quiet injector) it
+/// writes faithfully; with an injector it deterministically exercises the
+/// four storage failure modes:
 ///
 /// - **ENOSPC** — a partial temp file is written then removed, the
 ///   destination is left as a zero-length file when it did not already
@@ -601,8 +589,10 @@ pub fn save_tagged(
 ///
 /// # Errors
 ///
-/// As [`save_tagged`], plus injected ENOSPC / fsync failures.
-pub fn save_tagged_with(
+/// Propagates filesystem failures and injected ENOSPC / fsync failures
+/// as [`CkptError::Io`]; a `path` without a file name is
+/// [`CkptError::Corrupt`].
+pub(crate) fn save_tagged(
     path: &Path,
     magic: &[u8; 8],
     version: u32,
@@ -686,8 +676,8 @@ pub fn save_tagged_with(
     Ok(())
 }
 
-/// Loads and checksum-verifies a payload written by [`save_tagged`] with
-/// the same `magic` and `version`.
+/// Loads and checksum-verifies one container file — a generation written
+/// by [`GenStore::save_next`] — with the same `magic` and `version`.
 ///
 /// # Errors
 ///
@@ -733,74 +723,6 @@ pub fn load_tagged(path: &Path, magic: &[u8; 8], version: u32) -> Result<Vec<u8>
     Ok(bytes)
 }
 
-/// Whether `path` is a zero-length file — the state an ENOSPC- or
-/// kill-interrupted `create` leaves behind. Such a file never held data,
-/// so the `*_if_exists` loaders treat it as missing rather than corrupt.
-fn is_zero_length(path: &Path) -> bool {
-    fs::metadata(path).map(|m| m.len() == 0).unwrap_or(false)
-}
-
-/// [`load_tagged`] that maps a missing file to `Ok(None)`. A zero-length
-/// file — what an interrupted `create` leaves behind — also reads as
-/// missing: it never contained a payload to lose.
-///
-/// # Errors
-///
-/// As [`load_tagged`], except `NotFound` and zero-length files which
-/// become `Ok(None)`.
-pub fn load_tagged_if_exists(
-    path: &Path,
-    magic: &[u8; 8],
-    version: u32,
-) -> Result<Option<Vec<u8>>, CkptError> {
-    match load_tagged(path, magic, version) {
-        Ok(b) => Ok(Some(b)),
-        Err(CkptError::Io(e)) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
-        Err(CkptError::Corrupt(_)) if is_zero_length(path) => Ok(None),
-        Err(e) => Err(e),
-    }
-}
-
-/// Atomically persists a snapshot via [`save_tagged`]: write a sibling
-/// temp file, `fsync` it, rename over `path`, `fsync` the parent
-/// directory. After any kill point `path` holds either the previous
-/// complete snapshot or this one.
-///
-/// # Errors
-///
-/// Propagates filesystem failures as [`CkptError::Io`].
-pub fn save_snapshot(path: &Path, snap: &RunSnapshot) -> Result<(), CkptError> {
-    save_tagged(path, MAGIC, FORMAT_VERSION, &encode(snap))
-}
-
-/// Loads and checksum-verifies a snapshot written by [`save_snapshot`].
-///
-/// # Errors
-///
-/// [`CkptError::Io`] on filesystem failure; [`CkptError::Corrupt`] on bad
-/// magic, unsupported version, truncation, checksum mismatch, or a
-/// malformed payload.
-pub fn load_snapshot(path: &Path) -> Result<RunSnapshot, CkptError> {
-    decode(&load_tagged(path, MAGIC, FORMAT_VERSION)?)
-}
-
-/// [`load_snapshot`] that maps a missing file to `Ok(None)` — the normal
-/// "first run, nothing to resume" case. A zero-length file (an
-/// interrupted `create`) also reads as missing.
-///
-/// # Errors
-///
-/// As [`load_snapshot`], except `NotFound` and zero-length files which
-/// become `Ok(None)`.
-pub fn load_if_exists(path: &Path) -> Result<Option<RunSnapshot>, CkptError> {
-    match load_snapshot(path) {
-        Ok(s) => Ok(Some(s)),
-        Err(CkptError::Io(e)) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
-        Err(CkptError::Corrupt(_)) if is_zero_length(path) => Ok(None),
-        Err(e) => Err(e),
-    }
-}
-
 // ------------------------------------------------- rotated snapshots
 
 /// A [`GenStore`] rotating snapshot generations (`<base>.0001.bin`, …)
@@ -820,9 +742,8 @@ pub fn save_snapshot_gen(store: &GenStore, snap: &RunSnapshot) -> Result<u64, Ck
     store.save_next(&encode(snap))
 }
 
-/// Loads the newest good snapshot generation of `store` (legacy
-/// un-rotated base file included), reporting how many corrupt newer
-/// generations were rolled past.
+/// Loads the newest good snapshot generation of `store`, reporting how
+/// many corrupt newer generations were rolled past.
 ///
 /// # Errors
 ///
@@ -912,12 +833,31 @@ mod tests {
         }
     }
 
+    /// A snapshot store rotating beside `run.ckpt` in a fresh directory.
+    fn tmp_store(name: &str) -> GenStore {
+        let dir = tmp_path(name);
+        let _ = fs::remove_dir_all(&dir);
+        snapshot_store(&dir.join("run.ckpt"))
+    }
+
+    fn cleanup(store: &GenStore) {
+        if let Some(dir) = store.base().parent() {
+            let _ = fs::remove_dir_all(dir);
+        }
+    }
+
+    /// Loads the one container at `path` and decodes it as a snapshot,
+    /// so a test can see *why* the store rolled a generation back.
+    fn load_file(path: &Path) -> Result<RunSnapshot, CkptError> {
+        decode(&load_tagged(path, MAGIC, FORMAT_VERSION)?)
+    }
+
     #[test]
     fn roundtrip_is_exact_including_nonfinite_floats() {
-        let path = tmp_path("roundtrip.ckpt");
+        let store = tmp_store("roundtrip");
         let snap = sample();
-        save_snapshot(&path, &snap).unwrap();
-        let back = load_snapshot(&path).unwrap();
+        assert_eq!(save_snapshot_gen(&store, &snap).unwrap(), 1);
+        let back = load_snapshot_gen(&store).unwrap().unwrap().value;
         // NaN breaks PartialEq; compare via bit-exact debug formatting
         // field by field around it, then the rest structurally.
         assert_eq!(back.population[0].1[2].to_bits(), f64::NAN.to_bits());
@@ -926,96 +866,116 @@ mod tests {
         a.population[0].1[2] = 0.0;
         b.population[0].1[2] = 0.0;
         assert_eq!(a, b);
-        let _ = fs::remove_file(&path);
+        cleanup(&store);
     }
 
     #[test]
     fn save_is_atomic_over_an_existing_snapshot() {
-        let path = tmp_path("atomic.ckpt");
+        let store = tmp_store("atomic");
         let first = sample();
-        save_snapshot(&path, &first).unwrap();
+        save_snapshot_gen(&store, &first).unwrap();
         let mut second = sample();
         second.round = 6;
         second.journal_lines.push("{\"round\":6}".into());
-        save_snapshot(&path, &second).unwrap();
-        assert_eq!(load_snapshot(&path).unwrap().round, 6);
+        save_snapshot_gen(&store, &second).unwrap();
+        let load = load_snapshot_gen(&store).unwrap().unwrap();
+        assert_eq!((load.value.round, load.generation), (6, 2));
         // No temp residue.
-        let tmp = path.with_file_name(format!(
-            "{}.tmp",
-            path.file_name().unwrap().to_string_lossy()
-        ));
-        assert!(!tmp.exists(), "temp file must be renamed away");
-        let _ = fs::remove_file(&path);
+        let dir = store.base().parent().unwrap();
+        for entry in fs::read_dir(dir).unwrap() {
+            let name = entry.unwrap().file_name();
+            assert!(
+                !name.to_string_lossy().ends_with(".tmp"),
+                "temp file {name:?} must be renamed away"
+            );
+        }
+        cleanup(&store);
     }
 
     #[test]
     fn every_truncation_is_detected_never_panics() {
-        let path = tmp_path("trunc.ckpt");
-        save_snapshot(&path, &sample()).unwrap();
+        let store = tmp_store("trunc");
+        save_snapshot_gen(&store, &sample()).unwrap();
+        let path = store.generation_path(1).unwrap();
         let bytes = fs::read(&path).unwrap();
         for cut in 0..bytes.len() {
-            let p = tmp_path("trunc-cut.ckpt");
-            fs::write(&p, &bytes[..cut]).unwrap();
-            match load_snapshot(&p) {
+            fs::write(&path, &bytes[..cut]).unwrap();
+            match load_file(&path) {
                 Err(CkptError::Corrupt(_)) => {}
                 Ok(_) => panic!("truncation to {cut} bytes must not verify"),
                 Err(CkptError::Io(e)) => panic!("unexpected io error: {e}"),
             }
-            let _ = fs::remove_file(&p);
+            // The store reads the zero-length residue of an interrupted
+            // create as missing, every other cut as corrupt.
+            match load_snapshot_gen(&store) {
+                Ok(None) if cut == 0 => {}
+                Err(CkptError::Corrupt(_)) if cut > 0 => {}
+                other => panic!("truncation to {cut} bytes: store gave {other:?}"),
+            }
         }
-        let _ = fs::remove_file(&path);
+        cleanup(&store);
     }
 
     #[test]
     fn every_single_byte_flip_in_payload_is_detected() {
-        let path = tmp_path("flip.ckpt");
-        save_snapshot(&path, &sample()).unwrap();
+        let store = tmp_store("flip");
+        save_snapshot_gen(&store, &sample()).unwrap();
+        let path = store.generation_path(1).unwrap();
         let bytes = fs::read(&path).unwrap();
         // Flip one byte in the payload region; checksum must catch all.
         for pos in (20..bytes.len() - 8).step_by(7) {
             let mut mangled = bytes.clone();
             mangled[pos] ^= 0xA5;
-            let p = tmp_path("flip-one.ckpt");
-            fs::write(&p, &mangled).unwrap();
+            fs::write(&path, &mangled).unwrap();
             assert!(
-                matches!(load_snapshot(&p), Err(CkptError::Corrupt(_))),
+                matches!(load_snapshot_gen(&store), Err(CkptError::Corrupt(_))),
                 "flip at byte {pos} must fail the checksum"
             );
-            let _ = fs::remove_file(&p);
         }
-        let _ = fs::remove_file(&path);
+        cleanup(&store);
     }
 
     #[test]
     fn wrong_magic_and_version_are_rejected() {
-        let path = tmp_path("magic.ckpt");
-        save_snapshot(&path, &sample()).unwrap();
+        let store = tmp_store("magic");
+        save_snapshot_gen(&store, &sample()).unwrap();
+        let path = store.generation_path(1).unwrap();
         let mut bytes = fs::read(&path).unwrap();
         bytes[0] = b'X';
         fs::write(&path, &bytes).unwrap();
         assert!(matches!(
-            load_snapshot(&path),
+            load_file(&path),
             Err(CkptError::Corrupt(msg)) if msg.contains("magic")
+        ));
+        assert!(matches!(
+            load_snapshot_gen(&store),
+            Err(CkptError::Corrupt(_))
         ));
         bytes[0] = b'M';
         bytes[8] = 99;
         fs::write(&path, &bytes).unwrap();
         assert!(matches!(
-            load_snapshot(&path),
+            load_file(&path),
             Err(CkptError::Corrupt(msg)) if msg.contains("version")
         ));
-        let _ = fs::remove_file(&path);
+        assert!(matches!(
+            load_snapshot_gen(&store),
+            Err(CkptError::Corrupt(_))
+        ));
+        cleanup(&store);
     }
 
     #[test]
     fn load_if_exists_maps_missing_to_none() {
-        assert!(load_if_exists(&tmp_path("nonexistent.ckpt"))
-            .unwrap()
-            .is_none());
-        let path = tmp_path("exists.ckpt");
-        save_snapshot(&path, &sample()).unwrap();
-        assert!(load_if_exists(&path).unwrap().is_some());
-        let _ = fs::remove_file(&path);
+        let store = tmp_store("missing");
+        assert!(load_snapshot_gen(&store).unwrap().is_none());
+        // What an interrupted `create` leaves behind never held data.
+        fs::create_dir_all(store.base().parent().unwrap()).unwrap();
+        fs::write(store.generation_path(1).unwrap(), b"").unwrap();
+        assert!(load_snapshot_gen(&store).unwrap().is_none());
+        save_snapshot_gen(&store, &sample()).unwrap();
+        assert!(load_snapshot_gen(&store).unwrap().is_some());
+        cleanup(&store);
     }
 
     #[test]
@@ -1023,55 +983,60 @@ mod tests {
         // A payload whose first vector claims u64::MAX elements.
         let mut e = Enc::default();
         e.u64(u64::MAX); // label "length"
-        let payload = e.buf;
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(MAGIC);
-        bytes.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-        bytes.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        bytes.extend_from_slice(&payload);
-        bytes.extend_from_slice(&fnv1a(&payload).to_le_bytes());
-        let path = tmp_path("hugelen.ckpt");
-        fs::write(&path, &bytes).unwrap();
+        let store = tmp_store("hugelen");
+        store.save_next(&e.buf).unwrap();
         assert!(matches!(
-            load_snapshot(&path),
+            load_file(&store.generation_path(1).unwrap()),
             Err(CkptError::Corrupt(msg)) if msg.contains("length prefix")
         ));
-        let _ = fs::remove_file(&path);
+        assert!(matches!(
+            load_snapshot_gen(&store),
+            Err(CkptError::Corrupt(_))
+        ));
+        cleanup(&store);
     }
 
     #[test]
     fn tagged_payload_roundtrip_rejects_foreign_magic() {
-        let path = tmp_path("tagged.bin");
+        let root = tmp_path("tagged");
+        let _ = fs::remove_dir_all(&root);
+        let base = root.join("queue.bin");
         let payload = br#"{"jobs":[],"next_id":1}"#;
-        save_tagged(&path, b"MAOPTJBQ", 2, payload).unwrap();
+        let queue = GenStore::new(&base, b"MAOPTJBQ", 2);
+        queue.save_next(payload).unwrap();
         assert_eq!(
-            load_tagged(&path, b"MAOPTJBQ", 2).unwrap(),
+            queue.load_latest_good().unwrap().unwrap().value,
             payload.to_vec()
         );
         // A snapshot reader must not accept a job-queue manifest and
         // vice versa, even though both share the container format.
+        let path = queue.generation_path(1).unwrap();
         assert!(matches!(
             load_tagged(&path, MAGIC, FORMAT_VERSION),
             Err(CkptError::Corrupt(msg)) if msg.contains("magic")
         ));
         assert!(matches!(
+            load_snapshot_gen(&snapshot_store(&base)),
+            Err(CkptError::Corrupt(_))
+        ));
+        assert!(matches!(
             load_tagged(&path, b"MAOPTJBQ", 3),
             Err(CkptError::Corrupt(msg)) if msg.contains("version")
         ));
-        assert!(
-            load_tagged_if_exists(&tmp_path("no-such.bin"), b"MAOPTJBQ", 2)
-                .unwrap()
-                .is_none()
-        );
-        let _ = fs::remove_file(&path);
+        assert!(GenStore::new(root.join("no-such.bin"), b"MAOPTJBQ", 2)
+            .load_latest_good()
+            .unwrap()
+            .is_none());
+        let _ = fs::remove_dir_all(&root);
     }
 
     #[test]
     fn tagged_save_creates_nested_state_dirs() {
         let root = tmp_path("nested-state");
-        let path = root.join("a/b/queue.bin");
-        save_tagged(&path, b"MAOPTJBQ", 1, b"x").unwrap();
-        assert_eq!(load_tagged(&path, b"MAOPTJBQ", 1).unwrap(), b"x".to_vec());
+        let _ = fs::remove_dir_all(&root);
+        let store = GenStore::new(root.join("a/b/queue.bin"), b"MAOPTJBQ", 1);
+        store.save_next(b"x").unwrap();
+        assert_eq!(store.load_latest_good().unwrap().unwrap().value, b"x");
         let _ = fs::remove_dir_all(&root);
     }
 }

@@ -14,7 +14,7 @@ use std::fs;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use maopt_ckpt::{load_tagged, save_tagged, CkptError, GenStore};
+use maopt_ckpt::{load_tagged, CkptError, GenStore};
 use proptest::prelude::*;
 
 const MAGIC: &[u8; 8] = b"MAOPTTST";
@@ -110,9 +110,8 @@ proptest! {
     #[test]
     fn hostile_length_prefix_never_overallocates(claimed in 0u64..u64::MAX) {
         let dir = scratch_dir();
-        fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("hostile.bin");
-        save_tagged(&path, MAGIC, VERSION, b"tiny").unwrap();
+        let store = GenStore::new(dir.join("hostile.bin"), MAGIC, VERSION);
+        let path = store.generation_path(store.save_next(b"tiny").unwrap()).unwrap();
         let mut bytes = fs::read(&path).unwrap();
         bytes[12..20].copy_from_slice(&claimed.to_le_bytes());
         fs::write(&path, &bytes).unwrap();

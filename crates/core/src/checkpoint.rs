@@ -11,7 +11,7 @@ use maopt_ckpt::{load_snapshot_gen, save_snapshot_gen, snapshot_store, GenStore,
 ///
 /// Passed to [`crate::MaOpt::run_resumable`]; the optimizer saves an
 /// atomic [`RunSnapshot`] generation (`<path>.0001.bin`,
-/// `<path>.0002.bin`, …, newest [`RunCheckpointer::keep`] retained)
+/// `<path>.0002.bin`, …, newest [`maopt_ckpt::DEFAULT_KEEP`] retained)
 /// after every completed round, and — when
 /// [`RunCheckpointer::with_resume`] is set — restores from the newest
 /// *good* generation before the first round, continuing bitwise
@@ -24,7 +24,6 @@ use maopt_ckpt::{load_snapshot_gen, save_snapshot_gen, snapshot_store, GenStore,
 pub struct RunCheckpointer {
     path: PathBuf,
     resume: bool,
-    keep: usize,
     halt_after_round: Option<usize>,
     stop_flag: Option<Arc<AtomicBool>>,
     progress: Option<Arc<AtomicU64>>,
@@ -39,7 +38,6 @@ impl RunCheckpointer {
         RunCheckpointer {
             path: path.into(),
             resume: false,
-            keep: maopt_ckpt::DEFAULT_KEEP,
             halt_after_round: None,
             stop_flag: None,
             progress: None,
@@ -53,15 +51,6 @@ impl RunCheckpointer {
     #[must_use]
     pub fn with_resume(mut self, resume: bool) -> Self {
         self.resume = resume;
-        self
-    }
-
-    /// How many snapshot generations to retain (at least 1; default
-    /// [`maopt_ckpt::DEFAULT_KEEP`]). More generations widen the
-    /// rollback window at the cost of disk.
-    #[must_use]
-    pub fn with_keep(mut self, keep: usize) -> Self {
-        self.keep = keep.max(1);
         self
     }
 
@@ -83,11 +72,6 @@ impl RunCheckpointer {
     /// Whether resume was requested.
     pub fn resume(&self) -> bool {
         self.resume
-    }
-
-    /// Snapshot generations retained after each save.
-    pub fn keep(&self) -> usize {
-        self.keep
     }
 
     pub(crate) fn halt_after_round(&self) -> Option<usize> {
@@ -135,7 +119,7 @@ impl RunCheckpointer {
     }
 
     fn store(&self) -> GenStore {
-        snapshot_store(&self.path).with_keep(self.keep)
+        snapshot_store(&self.path)
     }
 
     fn beat(&self, round: u64) {
@@ -145,7 +129,7 @@ impl RunCheckpointer {
     }
 
     /// The snapshot to resume from, if resuming was requested and a good
-    /// generation (or legacy un-rotated snapshot) exists. Corrupt newer
+    /// generation exists. Corrupt newer
     /// generations are rolled past and counted in
     /// [`RunCheckpointer::rollbacks`].
     ///

@@ -1,76 +1,9 @@
-//! CSV exporters for runs, traces and populations — so results can be
-//! analyzed outside Rust (pandas, gnuplot, …) without any serialization
-//! dependency.
+//! A human-readable sizing report of a run's best feasible design.
 
 use std::fmt::Write as _;
 
 use crate::maopt::RunResult;
 use crate::problem::SizingProblem;
-use crate::trace::SimKind;
-
-fn kind_str(kind: SimKind) -> &'static str {
-    match kind {
-        SimKind::Init => "init",
-        SimKind::Actor => "actor",
-        SimKind::NearSample => "near_sample",
-        SimKind::Baseline => "baseline",
-    }
-}
-
-/// Renders a run's trace as CSV: one row per simulation with FoM,
-/// best-so-far, feasibility, target metric and provenance.
-pub fn trace_csv(result: &RunResult) -> String {
-    let mut out = String::from("sim,kind,fom,best_fom,feasible,target\n");
-    for e in result.trace.entries() {
-        let _ = writeln!(
-            out,
-            "{},{},{:.9e},{:.9e},{},{:.9e}",
-            e.sim,
-            kind_str(e.kind),
-            e.fom,
-            e.best_fom,
-            e.feasible,
-            e.target
-        );
-    }
-    out
-}
-
-/// Renders the full population as CSV: normalized design variables, then
-/// physical values, then the metric vector.
-pub fn population_csv(result: &RunResult, problem: &dyn SizingProblem) -> String {
-    let pop = &result.population;
-    let mut out = String::from("index,fom,feasible");
-    for p in problem.params() {
-        let _ = write!(out, ",{}_norm", p.name);
-    }
-    for p in problem.params() {
-        let _ = write!(
-            out,
-            ",{}_{}",
-            p.name,
-            if p.unit.is_empty() { "phys" } else { p.unit }
-        );
-    }
-    for m in problem.metric_names() {
-        let _ = write!(out, ",{m}");
-    }
-    out.push('\n');
-    for i in 0..pop.len() {
-        let _ = write!(out, "{},{:.9e},{}", i, pop.fom(i), pop.feasible(i));
-        for v in pop.design(i) {
-            let _ = write!(out, ",{v:.6}");
-        }
-        for v in problem.denormalize(pop.design(i)) {
-            let _ = write!(out, ",{v:.6e}");
-        }
-        for v in pop.metrics(i) {
-            let _ = write!(out, ",{v:.6e}");
-        }
-        out.push('\n');
-    }
-    out
-}
 
 /// Renders the best feasible design as a human-readable sizing report.
 pub fn sizing_report(result: &RunResult, problem: &dyn SizingProblem) -> String {
@@ -126,27 +59,6 @@ mod tests {
         };
         let r = cfg.optimize(&p, &init, 9, 3, &maopt_exec::EvalEngine::serial());
         (p, r)
-    }
-
-    #[test]
-    fn trace_csv_has_one_row_per_entry() {
-        let (_, r) = small_result();
-        let csv = trace_csv(&r);
-        assert!(csv.starts_with("sim,kind,"));
-        assert_eq!(csv.lines().count(), 1 + r.trace.entries().len());
-        assert!(csv.contains("init"));
-        assert!(csv.contains("actor"));
-    }
-
-    #[test]
-    fn population_csv_columns_are_complete() {
-        let (p, r) = small_result();
-        let csv = population_csv(&r, &p);
-        let header = csv.lines().next().unwrap();
-        // 3 fixed + d norm + d phys + metrics
-        let expected = 3 + 3 + 3 + p.metric_names().len();
-        assert_eq!(header.split(',').count(), expected);
-        assert_eq!(csv.lines().count(), 1 + r.population.len());
     }
 
     #[test]

@@ -278,9 +278,9 @@ impl EvalEngine {
     }
 
     /// The persistent worker pool, when the engine has more than one
-    /// worker. Long-lived callers (the serve daemon's scheduler) use
-    /// this to run their own fan-out on the same threads that evaluate
-    /// simulations, instead of spawning a second pool.
+    /// worker, for reading its state (such as
+    /// [`WorkerPool::idle_workers`]); fan-out goes through
+    /// [`EvalEngine::map`] and [`EvalEngine::scope`].
     pub fn pool(&self) -> Option<&Arc<WorkerPool>> {
         self.pool.as_ref()
     }
@@ -360,17 +360,6 @@ impl EvalEngine {
         out.into_iter()
             .map(|r| r.expect("worker pool lost a result without panicking"))
             .collect()
-    }
-
-    /// Runs `f(0), f(1), …, f(n - 1)` on the pool and returns the
-    /// results in index order — `map` for pure index-driven fan-out
-    /// (training lanes, scoring chunks) with no item vector to move in.
-    pub fn compute<R, F>(&self, n: usize, f: F) -> Vec<R>
-    where
-        R: Send,
-        F: Fn(usize) -> R + Sync,
-    {
-        self.map((0..n).collect(), |i, _: usize| f(i))
     }
 
     /// Structured fan-out for non-`Problem` work: runs `body` with a
@@ -918,8 +907,8 @@ mod tests {
         });
         assert_eq!(doubled, (0..32).map(|i| i * 2).collect::<Vec<_>>());
 
-        let computed = engine.compute(32, |i| i * 2);
-        assert_eq!(computed, (0..32).map(|i| i * 2).collect::<Vec<_>>());
+        let mapped = engine.map((0..32).collect(), |i, _: usize| i * 2);
+        assert_eq!(mapped, (0..32).map(|i| i * 2).collect::<Vec<_>>());
 
         // Serial engines run scope spawns inline, same results.
         let mut serial = vec![0usize; 32];
@@ -951,6 +940,8 @@ mod tests {
             })
             .sum();
         assert_eq!(worker_tasks, n as u64, "every task attributed to a worker");
+        let pool = engine.pool().expect("two-worker engine has a pool");
+        assert_eq!(pool.worker_metric_name(0), "exec.pool.worker0.tasks");
         assert!(
             metrics
                 .iter()

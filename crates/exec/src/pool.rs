@@ -115,9 +115,6 @@ pub struct WorkerPool {
     workers: usize,
     queue: Arc<BoundedQueue<Task>>,
     handles: Vec<JoinHandle<()>>,
-    /// Tasks executed per worker, for telemetry (shared with the worker
-    /// threads, which bump their own slot).
-    tasks: Arc<Vec<AtomicU64>>,
     /// Precomputed metric names (`exec.pool.worker<k>.tasks`), so hot
     /// paths can tag metrics with worker ids without per-task formatting.
     worker_metric_names: Vec<String>,
@@ -151,13 +148,10 @@ impl WorkerPool {
         let workers = workers.max(1);
         let id = NEXT_POOL_ID.fetch_add(1, Ordering::Relaxed);
         let queue: Arc<BoundedQueue<Task>> = Arc::new(BoundedQueue::new(2 * workers));
-        let tasks: Arc<Vec<AtomicU64>> =
-            Arc::new((0..workers).map(|_| AtomicU64::new(0)).collect());
         let idle = Arc::new(AtomicUsize::new(0));
         let handles = (0..workers)
             .map(|w| {
                 let queue = Arc::clone(&queue);
-                let tasks = Arc::clone(&tasks);
                 let idle = Arc::clone(&idle);
                 std::thread::Builder::new()
                     .name(format!("maopt-pool{id}-w{w}"))
@@ -168,7 +162,6 @@ impl WorkerPool {
                             let task = queue.pop();
                             idle.fetch_sub(1, Ordering::Relaxed);
                             let Some(task) = task else { break };
-                            tasks[w].fetch_add(1, Ordering::Relaxed);
                             // Tasks are built by `Scope::spawn` or are
                             // team helpers, and both catch panics
                             // themselves; a panic here would mean a bug
@@ -185,7 +178,6 @@ impl WorkerPool {
             workers,
             queue,
             handles,
-            tasks,
             worker_metric_names: (0..workers)
                 .map(|w| format!("exec.pool.worker{w}.tasks"))
                 .collect(),
@@ -245,14 +237,6 @@ impl WorkerPool {
         self.idle.load(Ordering::Relaxed) > 0
             && self.depth.load(Ordering::Relaxed) == 0
             && self.queue.try_push(task)
-    }
-
-    /// Total tasks executed by each worker since the pool was spawned.
-    pub fn worker_task_counts(&self) -> Vec<u64> {
-        self.tasks
-            .iter()
-            .map(|t| t.load(Ordering::Relaxed))
-            .collect()
     }
 
     /// The telemetry metric name for worker `w`'s task counter.
@@ -485,20 +469,6 @@ mod tests {
             }
         });
         assert_eq!(after.load(Ordering::SeqCst), 8);
-    }
-
-    #[test]
-    fn worker_task_counts_cover_all_executed_tasks() {
-        let pool = WorkerPool::new(2);
-        pool.scope(|scope| {
-            for _ in 0..32 {
-                scope.spawn(|_w| {});
-            }
-        });
-        let counts = pool.worker_task_counts();
-        assert_eq!(counts.len(), 2);
-        assert_eq!(counts.iter().sum::<u64>(), 32);
-        assert!(pool.worker_metric_name(0).contains("worker0"));
     }
 
     #[test]

@@ -358,7 +358,7 @@ mod tests {
     fn team_from_a_pool_worker_runs_inline() {
         let engine = idle_engine();
         let inner = engine.clone();
-        let seen = engine.compute(2, |_| {
+        let seen = engine.map(vec![(); 2], |_, ()| {
             inner.team(|| {
                 let (ta, tb) = join(me, me);
                 (leading(), ta == tb && ta == me())
@@ -448,7 +448,7 @@ mod tests {
             helper_thread();
             // A fan-out from inside the team needs both workers; the
             // helper must give its worker back instead of spinning.
-            engine.compute(8, |_| {
+            engine.map(vec![(); 8], |_, ()| {
                 std::thread::sleep(std::time::Duration::from_millis(2));
                 me()
             })

@@ -80,11 +80,6 @@ impl Complex {
         self.re.is_finite() && self.im.is_finite()
     }
 
-    /// Magnitude in decibels: `20·log10(|self|)`.
-    pub fn abs_db(self) -> f64 {
-        20.0 * self.abs().log10()
-    }
-
     /// Phase in degrees.
     pub fn arg_deg(self) -> f64 {
         self.arg().to_degrees()
@@ -227,8 +222,7 @@ mod tests {
 
     #[test]
     fn db_and_degrees() {
-        let c = Complex::new(10.0, 0.0);
-        assert!((c.abs_db() - 20.0).abs() < 1e-12);
+        assert_eq!(Complex::new(10.0, 0.0).arg_deg(), 0.0);
         assert!((Complex::J.arg_deg() - 90.0).abs() < 1e-12);
     }
 

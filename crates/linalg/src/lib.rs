@@ -47,7 +47,6 @@ mod lu;
 mod mat;
 pub mod sparse;
 pub mod stats;
-pub mod vec_ops;
 
 pub use cholesky::Cholesky;
 pub use cmat::{CLu, CMat};

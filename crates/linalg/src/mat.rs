@@ -159,11 +159,6 @@ impl Mat {
         &mut self.data
     }
 
-    /// Consumes the matrix and returns its flat row-major data.
-    pub fn into_vec(self) -> Vec<f64> {
-        self.data
-    }
-
     /// Returns the transpose.
     pub fn transpose(&self) -> Mat {
         let mut t = Mat::zeros(self.cols, self.rows);
@@ -255,11 +250,6 @@ impl Mat {
         self.cols = src.cols;
         self.data.clear();
         self.data.extend_from_slice(&src.data);
-    }
-
-    /// Frobenius norm.
-    pub fn frobenius_norm(&self) -> f64 {
-        self.data.iter().map(|v| v * v).sum::<f64>().sqrt()
     }
 
     /// Maximum absolute entry, or 0 for an empty matrix.
@@ -438,7 +428,6 @@ mod tests {
     #[test]
     fn scaling_and_norms() {
         let m = Mat::from_rows(&[&[3.0, 0.0], &[0.0, 4.0]]);
-        assert_eq!(m.frobenius_norm(), 5.0);
         assert_eq!(m.max_abs(), 4.0);
         assert_eq!(m.scaled(2.0)[(1, 1)], 8.0);
     }

@@ -86,19 +86,6 @@ impl Adam {
         self.lr
     }
 
-    /// Overrides the learning rate (e.g. for decay schedules).
-    pub fn set_learning_rate(&mut self, lr: f64) {
-        assert!(lr > 0.0 && lr.is_finite(), "learning rate must be positive");
-        self.lr = lr;
-    }
-
-    /// Resets moment estimates and the step counter.
-    pub fn reset(&mut self) {
-        self.t = 0;
-        self.m.fill(0.0);
-        self.v.fill(0.0);
-    }
-
     /// Captures the optimizer's mutable state (step counter and moment
     /// estimates) for checkpointing. Hyperparameters (`lr`, betas, eps)
     /// are construction-time configuration and are not included.
@@ -371,19 +358,5 @@ mod tests {
                 proptest::prop_assert_eq!(&adam.v, &adam_ref.v);
             }
         }
-    }
-
-    #[test]
-    fn reset_clears_state() {
-        let mut mlp = Mlp::new(&[1, 2, 1], Activation::Tanh, 0);
-        let mut adam = Adam::new(&mlp, 1e-2);
-        let x = Mat::from_rows(&[&[1.0]]);
-        let y = Mat::from_rows(&[&[2.0]]);
-        mse_backward(&mut mlp, &x, &y, &mut Workspace::new(), &mut Mat::default());
-        adam.step(&mut mlp);
-        assert!(adam.m.iter().any(|&m| m != 0.0));
-        adam.reset();
-        assert!(adam.m.iter().all(|&m| m == 0.0));
-        assert_eq!(adam.t, 0);
     }
 }

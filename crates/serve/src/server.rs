@@ -335,35 +335,20 @@ impl Server {
     }
 }
 
-/// The scheduling loop. With a pooled engine, jobs are spawned onto the
-/// run-level worker pool inside one long-lived scope; serial engines
-/// run jobs inline one at a time.
+/// The scheduling loop: jobs are spawned inside one long-lived
+/// [`EvalEngine::scope`], which puts them on the run-level worker pool
+/// or, on a serial engine, runs them inline one at a time.
 fn scheduler(shared: &Arc<Shared>) {
-    match shared.engine.pool().cloned() {
-        Some(pool) => pool.scope(|scope| {
-            let poll = Duration::from_millis(shared.cfg.poll_ms.max(1));
-            loop {
-                if tick(shared, |id, flag, progress| {
-                    let shared = Arc::clone(shared);
-                    scope.spawn(move |_w| run_job(&shared, id, &flag, &progress));
-                }) {
-                    break;
-                }
-                std::thread::sleep(poll);
-            }
-        }),
-        None => {
-            let poll = Duration::from_millis(shared.cfg.poll_ms.max(1));
-            loop {
-                if tick(shared, |id, flag, progress| {
-                    run_job(shared, id, &flag, &progress);
-                }) {
-                    break;
-                }
-                std::thread::sleep(poll);
-            }
+    let poll = Duration::from_millis(shared.cfg.poll_ms.max(1));
+    shared.engine.scope(|scope| loop {
+        if tick(shared, |id, flag, progress| {
+            let shared = Arc::clone(shared);
+            scope.spawn(move |_w| run_job(&shared, id, &flag, &progress));
+        }) {
+            break;
         }
-    }
+        std::thread::sleep(poll);
+    });
 }
 
 /// Watchdog pass over running jobs, escalating per stall budget: a job

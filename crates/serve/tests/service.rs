@@ -34,6 +34,10 @@ struct Daemon {
 }
 
 fn start(state_dir: &Path, slots: usize, limits: QueueLimits) -> Daemon {
+    start_on(state_dir, slots, limits, EvalEngine::new(2))
+}
+
+fn start_on(state_dir: &Path, slots: usize, limits: QueueLimits, engine: EvalEngine) -> Daemon {
     let stop = Arc::new(AtomicBool::new(false));
     let cfg = ServeConfig {
         addr: "127.0.0.1:0".into(),
@@ -43,7 +47,7 @@ fn start(state_dir: &Path, slots: usize, limits: QueueLimits) -> Daemon {
         poll_ms: 5,
         stall_budget_ms: None,
     };
-    let server = Server::bind(cfg, EvalEngine::new(2), Arc::clone(&stop)).expect("bind");
+    let server = Server::bind(cfg, engine, Arc::clone(&stop)).expect("bind");
     let addr = server.local_addr().expect("local addr").to_string();
     let handle = std::thread::spawn(move || server.run());
     Daemon { addr, stop, handle }
@@ -126,6 +130,64 @@ fn submit_run_status_list_and_drain() {
         .store(true, std::sync::atomic::Ordering::SeqCst);
     daemon2.handle.join().expect("join").expect("clean");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A job journal without its `run_end` line (wall-clock timings) and
+/// with the manifest's engine width masked, as CI's journal-smoke diffs.
+fn comparable_journal(path: &Path) -> Vec<String> {
+    let text = std::fs::read_to_string(path).expect("journal file");
+    text.lines()
+        .filter(|l| !l.contains("\"record\":\"run_end\""))
+        .map(|l| {
+            let Some(at) = l.find("\"jobs\":") else {
+                return l.to_string();
+            };
+            let value = at + "\"jobs\":".len();
+            let digits = l[value..].bytes().take_while(u8::is_ascii_digit).count();
+            format!("{}N{}", &l[..value], &l[value + digits..])
+        })
+        .collect()
+}
+
+/// A serial engine (`maopt-serve --jobs 1`) runs each job inline on the
+/// scheduler thread: both jobs still finish, and their journals match a
+/// pooled daemon's line for line.
+#[test]
+fn serial_engine_runs_jobs_inline_with_pooled_journals() {
+    let mut journals = Vec::new();
+    for (name, engine) in [
+        ("serial", EvalEngine::serial()),
+        ("pooled", EvalEngine::new(2)),
+    ] {
+        let dir = tmp_dir(&format!("engine-{name}"));
+        let _ = std::fs::remove_dir_all(&dir);
+        let daemon = start_on(&dir, 2, QueueLimits::default(), engine);
+        let mut client = Client::connect(&daemon.addr).expect("connect");
+        let ids = [
+            client.submit(&spec("alice", 7, 8)).expect("submit a"),
+            client.submit(&spec("bob", 8, 8)).expect("submit b"),
+        ];
+        for id in &ids {
+            wait_status(&mut client, id, "done", Duration::from_secs(60));
+        }
+        client.shutdown().expect("shutdown");
+        daemon
+            .handle
+            .join()
+            .expect("join")
+            .expect("drained cleanly");
+        let lines: Vec<Vec<String>> = ids
+            .iter()
+            .map(|id| comparable_journal(&dir.join("jobs").join(id).join("journal.jsonl")))
+            .collect();
+        assert!(
+            lines.iter().all(|j| !j.is_empty()),
+            "{name} journals written"
+        );
+        journals.push(lines);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+    assert_eq!(journals[0], journals[1], "serial == pooled journals");
 }
 
 trait SpecExt {

@@ -60,21 +60,9 @@ impl AcSweep {
         }
     }
 
-    /// Differential phasor `v(p) − v(n)` at frequency index `k`.
-    pub fn voltage_diff(&self, k: usize, p: Node, n: Node) -> Complex {
-        self.voltage(k, p) - self.voltage(k, n)
-    }
-
     /// The transfer series of one node over the whole sweep.
     pub fn transfer(&self, node: Node) -> Vec<Complex> {
         (0..self.len()).map(|k| self.voltage(k, node)).collect()
-    }
-
-    /// The differential transfer series `v(p) − v(n)` over the whole sweep.
-    pub fn transfer_diff(&self, p: Node, n: Node) -> Vec<Complex> {
-        (0..self.len())
-            .map(|k| self.voltage_diff(k, p, n))
-            .collect()
     }
 }
 

@@ -119,14 +119,6 @@ impl Bode {
         let ugf = self.unity_gain_freq()?;
         Some(180.0 + self.phase_deg_at(ugf))
     }
-
-    /// Gain margin in dB: `−mag` at the −180° phase crossing.
-    ///
-    /// Returns `None` when the phase never reaches −180° inside the sweep.
-    pub fn gain_margin_db(&self) -> Option<f64> {
-        let f180 = crossing_logx(&self.freqs, &self.phase_deg, -180.0)?;
-        Some(-self.mag_db_at(f180))
-    }
 }
 
 /// Linear interpolation of `y` over `log10(x)`.
@@ -200,23 +192,6 @@ pub fn settling_time(t: &[f64], v: &[f64], t_start: f64, tol: f64) -> Option<f64
     } else {
         None
     }
-}
-
-/// Fractional overshoot of a rising step: `(v_max − v_final) / |Δv|`.
-/// Returns 0 for a monotone response.
-///
-/// # Panics
-///
-/// Panics on an empty waveform.
-pub fn overshoot(v: &[f64]) -> f64 {
-    let v_final = final_value(v);
-    let v0 = v[0];
-    let delta = (v_final - v0).abs();
-    if delta == 0.0 {
-        return 0.0;
-    }
-    let peak = v.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-    ((peak - v_final) / delta).max(0.0)
 }
 
 #[cfg(test)]
@@ -295,20 +270,6 @@ mod tests {
     }
 
     #[test]
-    fn gain_margin_found_past_180() {
-        let freqs: Vec<f64> = (0..=80).map(|i| 10f64.powf(i as f64 / 10.0)).collect();
-        let h: Vec<Complex> = freqs
-            .iter()
-            .map(|&f| {
-                let p = Complex::new(1.0, f / 1e3);
-                Complex::from_real(30.0) / (p * p * p)
-            })
-            .collect();
-        let b = Bode::new(freqs, h);
-        assert!(b.gain_margin_db().is_some());
-    }
-
-    #[test]
     fn no_unity_crossing_returns_none() {
         let b = single_pole(1e9, 0.5); // always below 0 dB
         assert!(b.unity_gain_freq().is_none());
@@ -339,20 +300,6 @@ mod tests {
             .collect();
         let ts = settling_time(&t, &v, 2.0, 0.01).unwrap();
         assert!((ts - 4.605).abs() < 0.1, "settling {ts}");
-    }
-
-    #[test]
-    fn overshoot_of_damped_ringing() {
-        let t: Vec<f64> = (0..=2000).map(|i| i as f64 * 0.01).collect();
-        let v: Vec<f64> = t
-            .iter()
-            .map(|&ti| 1.0 - (-0.5 * ti).exp() * (2.0 * ti).cos())
-            .collect();
-        let os = overshoot(&v);
-        assert!(os > 0.1 && os < 1.0, "overshoot {os}");
-        // Monotone exponential has zero overshoot.
-        let v2: Vec<f64> = t.iter().map(|&ti| 1.0 - (-ti).exp()).collect();
-        assert_eq!(overshoot(&v2), 0.0);
     }
 
     #[test]

@@ -147,11 +147,6 @@ impl Waveform {
             }
         }
     }
-
-    /// Value at `t = 0`, used as the transient initial condition.
-    pub fn initial_value(&self) -> f64 {
-        self.value(0.0)
-    }
 }
 
 #[cfg(test)]
@@ -214,11 +209,5 @@ mod tests {
         };
         assert_eq!(w.value(0.5), 1.0);
         assert!((w.value(1.25) - 1.5).abs() < 1e-12); // quarter period
-    }
-
-    #[test]
-    fn initial_value_matches_value_at_zero() {
-        let w = Waveform::pulse(0.7, 1.0, 1.0, 0.1, 0.1, 1.0, f64::INFINITY);
-        assert_eq!(w.initial_value(), 0.7);
     }
 }
